@@ -3,7 +3,7 @@
 
 For the trace problem on the n-ball the scaled residual
 (count - C_lead tau^(n-1)) / tau^(n-2) settles at (1-n) C_lead; for the flux
-problem on the disk it settles at a constant close to 1/3.  Nonzero limits
+problem on the disk, taken at the eigenvalues, it tends to 1/3.  Nonzero limits
 mean the tau^(n-2) remainder order cannot be improved.
 """
 
@@ -50,9 +50,7 @@ def disk_flux_study(m_max, rows):
         print(f"{tau:>14.4f} {count:>10d} {res:>20.10f}")
     print(f"estimate at largest tau = {report.second_coeff_estimate:.10f}")
     print("series expansion of the exact eigenvalues puts the limit at 1/3 "
-          f"= {1 / 3:.10f};")
-    print("a coarser asymptotic reading gives cbrt(4)/2 = "
-          f"{4 ** (1 / 3) / 2:.10f} - either way the constant is nonzero.")
+          f"= {1 / 3:.10f}, which is nonzero.")
     print(f"sharp remainder: {report.sharp_verdict} "
           f"(tolerance {report.tolerance_used:.4g})")
 

@@ -34,6 +34,10 @@ _PROBLEMS = {
 class WeightExpr:
     """Tiny arithmetic expression over the boundary parameter."""
 
+    # nesting of parentheses, calls, unary minus and binary operators; deeper
+    # input would hit Python's recursion limit in the parser or in the closures
+    MAX_DEPTH = 100
+
     def __init__(self, text: str):
         self.text = text
         self._uses_param = False
@@ -89,36 +93,43 @@ class WeightExpr:
         self._pos += 1
         return tok
 
-    def _parse_expr(self) -> Callable[[float], float]:
-        value = self._parse_term()
+    def _parse_expr(self, depth: int = 0) -> Callable[[float], float]:
+        value = self._parse_term(depth)
         while self._peek() in ("+", "-"):
             op = self._take()
-            rhs = self._parse_term()
+            depth = self._deeper(depth)  # each operator nests the closure once more
+            rhs = self._parse_term(depth)
             lhs = value
             value = ((lambda t, a=lhs, b=rhs: a(t) + b(t)) if op == "+"
                      else (lambda t, a=lhs, b=rhs: a(t) - b(t)))
         return value
 
-    def _parse_term(self) -> Callable[[float], float]:
-        value = self._parse_unary()
+    def _parse_term(self, depth: int) -> Callable[[float], float]:
+        value = self._parse_unary(depth)
         while self._peek() == "*":
             self._take()
-            rhs = self._parse_unary()
+            depth = self._deeper(depth)
+            rhs = self._parse_unary(depth)
             lhs = value
             value = lambda t, a=lhs, b=rhs: a(t) * b(t)
         return value
 
-    def _parse_unary(self) -> Callable[[float], float]:
+    def _deeper(self, depth: int) -> int:
+        if depth >= self.MAX_DEPTH:
+            raise ValueError(f"weight expression nested deeper than {self.MAX_DEPTH} levels")
+        return depth + 1
+
+    def _parse_unary(self, depth: int) -> Callable[[float], float]:
         if self._peek() == "-":
             self._take()
-            inner = self._parse_unary()
+            inner = self._parse_unary(self._deeper(depth))
             return lambda t, a=inner: -a(t)
-        return self._parse_atom()
+        return self._parse_atom(depth)
 
-    def _parse_atom(self) -> Callable[[float], float]:
+    def _parse_atom(self, depth: int) -> Callable[[float], float]:
         tok = self._take()
         if tok == "(":
-            inner = self._parse_expr()
+            inner = self._parse_expr(self._deeper(depth))
             self._take(")")
             return inner
         if tok in ("t", "theta"):
@@ -128,7 +139,7 @@ class WeightExpr:
             return lambda t: math.pi
         if tok in ("cos", "sin"):
             self._take("(")
-            inner = self._parse_expr()
+            inner = self._parse_expr(self._deeper(depth))
             self._take(")")
             f = math.cos if tok == "cos" else math.sin
             return lambda t, a=inner, f=f: f(a(t))
@@ -160,7 +171,7 @@ class RunConfig:
     points: int
     samples: int
     xn: float
-    seed: int
+    seed: int | None
     mode: str
     out: str | None
 
@@ -183,7 +194,7 @@ _DEFAULTS = {
     "points": 72,
     "samples": 128,
     "xn": 1.0,
-    "seed": 0,
+    "seed": None,  # None: the identity block; any integer, 0 included, seeds a block
     "mode": "bvp",
     "out": None,
 }
@@ -346,7 +357,7 @@ def cmd_weyl(cfg: RunConfig) -> None:
 
 
 def _halfspace_bvp(cfg: RunConfig) -> None:
-    if cfg.seed:
+    if cfg.seed is not None:
         # seeded SPD block exercises the anisotropic recovery path
         rng = np.random.default_rng(cfg.seed)
         m = rng.normal(size=(cfg.n - 1, cfg.n - 1))

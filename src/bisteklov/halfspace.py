@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 
 class SolverError(RuntimeError):
@@ -178,6 +177,8 @@ def _solve_ode(A: MetricBlock, k: float, grid: HalfSpaceGrid, bc_value: float,
     rhs[0] = bc_value
     rhs[1] = 2.0 * h * bc_slope
 
+    import scipy.linalg  # deferred: only this solve needs scipy, and it is slow to import
+
     try:
         u = scipy.linalg.solve_banded((2, 2), ab, rhs)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
@@ -232,14 +233,34 @@ def bvp_solve_p2(A: MetricBlock, datum: FourierDatum, grid: HalfSpaceGrid) -> fl
 # explicit kernels
 # ---------------------------------------------------------------------------
 
-def _kernel_integrand(A: MetricBlock, which: str, x: np.ndarray, x_n: float,
-                      eta: np.ndarray) -> complex:
+def _kernel_values(A: MetricBlock, which: str, x: np.ndarray, x_n: np.ndarray,
+                   quad_points: int) -> np.ndarray:
+    """K1 or K2 at boundary offsets ``x`` (shape S + (n-1,)) and heights ``x_n``
+    (broadcastable to S) by one sphere rule: the directions +-1 with weight 1 for n = 2,
+    ``quad_points`` equispaced circle directions with weight 2 pi/quad_points
+    for n = 3.  Raises SolverError if an imaginary part exceeds 1e-10."""
     n = A.dim
-    q = math.sqrt(float(eta @ A.a_tan @ eta) / A.a_nn)
-    z = complex(float(x @ eta), x_n * q)
+    x_n = np.asarray(x_n, dtype=float)
+    if not np.all(x_n > 0):
+        raise ValueError("kernels are singular at the boundary: need x_n > 0")
+    if n == 2:
+        dirs, weight = np.array([[1.0], [-1.0]]), 1.0
+    else:
+        thetas = 2.0 * math.pi * np.arange(quad_points) / quad_points
+        dirs, weight = np.column_stack([np.cos(thetas), np.sin(thetas)]), 2.0 * math.pi / quad_points
+    q = np.sqrt(np.sum((dirs @ A.a_tan) * dirs, axis=1) / A.a_nn)
+    xq = x_n[..., None] * q
+    r = 1.0 / (x @ dirs.T + 1j * xq)
     if which == "K2":
-        return x_n / math.sqrt(A.a_nn) * z ** (1 - n)
-    return z ** (1 - n) + (n - 1) * 1j * x_n * q * z ** (-n)
+        integrand = x_n[..., None] / math.sqrt(A.a_nn) * r ** (n - 1)
+    else:
+        integrand = r ** (n - 1) * (1.0 + (n - 1) * 1j * xq * r)
+    prefactor = (-1.0) ** (n - 1) * math.factorial(n - 2) / (2.0j * math.pi) ** (n - 1)
+    value = prefactor * weight * integrand.sum(axis=-1)
+    worst = np.max(np.abs(value.imag), initial=0.0)
+    if worst > 1e-10:
+        raise SolverError(f"kernel integral has imaginary part {worst:.3e}")
+    return value.real
 
 
 def kernel_K(A: MetricBlock, which: str, x, x_n: float, quad_points: int = 256) -> float:
@@ -256,29 +277,12 @@ def kernel_K(A: MetricBlock, which: str, x, x_n: float, quad_points: int = 256) 
     n = A.dim
     if n not in (2, 3):
         raise ValueError("kernels are implemented for total dimension 2 or 3")
-    if not x_n > 0:
-        raise ValueError("kernels are singular at the boundary: need x_n > 0")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (n - 1,):
         raise ValueError(f"boundary point must have {n - 1} components")
-
-    prefactor = (-1.0) ** (n - 1) * math.factorial(n - 2) / (2.0j * math.pi) ** (n - 1)
-    if n == 2:
-        total = sum(
-            _kernel_integrand(A, which, x, x_n, np.array([s])) for s in (1.0, -1.0)
-        )
-    else:
-        if quad_points < 4 or quad_points % 2:
-            raise ValueError("need an even quad_points >= 4")
-        thetas = 2.0 * math.pi * np.arange(quad_points) / quad_points
-        total = (2.0 * math.pi / quad_points) * sum(
-            _kernel_integrand(A, which, x, x_n, np.array([math.cos(t), math.sin(t)]))
-            for t in thetas
-        )
-    value = prefactor * total
-    if abs(value.imag) > 1e-10:
-        raise SolverError(f"kernel integral has imaginary part {value.imag:.3e}")
-    return value.real
+    if n == 3 and (quad_points < 4 or quad_points % 2):
+        raise ValueError("need an even quad_points >= 4")
+    return float(_kernel_values(A, which, x, x_n, quad_points))
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +306,9 @@ def _check_boundary_data(y: np.ndarray, phi: np.ndarray, h: np.ndarray):
     return y, phi, h, float(dy[0])
 
 
+_KERNEL_BLOCK = 1 << 16  # (point, sample) pairs per kernel evaluation block
+
+
 def solve_by_kernel(A: MetricBlock, y, phi, h, points, quad_points: int = 256,
                     min_xn: float = 1e-3) -> np.ndarray:
     """Solve the half-plane problem by discrete kernel convolution.
@@ -319,15 +326,60 @@ def solve_by_kernel(A: MetricBlock, y, phi, h, points, quad_points: int = 256,
     if np.any(pts[:, 1] < min_xn):
         raise ValueError(f"evaluation points need x_n >= {min_xn}")
     out = np.zeros(pts.shape[0])
-    for i, (xp, xn) in enumerate(pts):
-        acc = 0.0
-        for yj, pj, hj in zip(y, phi, h):
-            if pj:
-                acc += kernel_K(A, "K1", xp - yj, xn, quad_points) * pj
-            if hj:
-                acc += kernel_K(A, "K2", xp - yj, xn, quad_points) * hj
-        out[i] = acc * dy
-    return out
+    for which, data in (("K1", phi), ("K2", h)):
+        cols = np.flatnonzero(data)  # only the columns the data reaches
+        if not cols.size:
+            continue
+        # blocks of points keep each (points, columns, directions) temporary near 2 MB
+        rows = max(1, _KERNEL_BLOCK // cols.size)
+        for start in range(0, pts.shape[0], rows):
+            block = pts[start:start + rows]
+            offsets = (block[:, 0, None] - y[cols])[..., None]
+            out[start:start + rows] += (
+                _kernel_values(A, which, offsets, block[:, 1, None], quad_points) @ data[cols])
+    return out * dy
+
+
+def _chirp(alpha: float, m: np.ndarray) -> np.ndarray:
+    """exp(-i alpha m^2 / 2) for integers m.
+
+    The phase is carried in turns as an exact double-double product (Dekker's
+    two-product) and reduced modulo one before the exponential, so its error
+    stays at rounding level instead of growing with m^2."""
+    def split(a):
+        c = 134217729.0 * a  # 2^27 + 1
+        hi = c - (c - a)
+        return hi, a - hi
+
+    beta = alpha / (4.0 * math.pi)
+    m2 = np.asarray(m, dtype=float) ** 2
+    turns = beta * m2
+    (b_hi, b_lo), (m_hi, m_lo) = split(beta), split(m2)
+    err = ((b_hi * m_hi - turns) + b_hi * m_lo + b_lo * m_hi) + b_lo * m_lo
+    return np.exp(-2j * math.pi * ((turns - np.round(turns)) + err))
+
+
+def _chirp_z(data: np.ndarray, y: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """sum_j data[..., j] exp(-i etas[k] y[j]) for uniform grids ``y`` and
+    ``etas``, by Bluestein's chirp-z transform: one FFT convolution along the
+    last axis (Rabiner, Schafer & Rader 1969).  Indices are counted from the
+    grid middles (jc, kc), which keeps every phase small.  The grids are taken
+    as exactly uniform: y[j] is y[jc] + (j - jc) dy with dy from the grid ends."""
+    samples, count = y.size, etas.size
+    jc, kc = (samples - 1) // 2, (count - 1) // 2
+    dy = (y[-1] - y[0]) / (samples - 1)
+    alpha = (etas[-1] - etas[0]) / (count - 1) * dy
+    j, k = np.arange(samples) - jc, np.arange(count) - kc
+    lags = np.arange(1 - samples, count)
+    # etas[k] y[j] = etas[k] y[jc] + etas[kc] j dy + alpha k j,  2 k j = k^2 + j^2 - (k - j)^2;
+    # every |k|, |j| and |k - j| is some |lag - kc + jc|
+    chirp = _chirp(alpha, np.arange(max(samples - 1 + kc - jc, count - 1 - kc + jc) + 1))
+    pre = data * (chirp[np.abs(j)] * np.exp(-1j * etas[kc] * dy * j))
+    size = 1 << (samples + count - 2).bit_length()  # power of two >= samples + count - 1
+    kernel = np.zeros(size, dtype=complex)
+    kernel[lags] = chirp[np.abs(lags - kc + jc)].conj()  # negative lags wrap around
+    conv = np.fft.ifft(np.fft.fft(pre, size) * np.fft.fft(kernel), axis=-1)[..., :count]
+    return conv * (chirp[np.abs(k)] * np.exp(-1j * etas * y[jc]))
 
 
 def fourier_synthesis(A: MetricBlock, y, phi, h, points, eta_max: float = 40.0,
@@ -336,7 +388,10 @@ def fourier_synthesis(A: MetricBlock, y, phi, h, points, eta_max: float = 40.0,
 
     Applies the exact normal-variable profiles to the discrete transform of
     the boundary data and inverts by trapezoid quadrature on a frequency
-    interval wide enough for the exponential decay to wash out.
+    interval wide enough for the exponential decay to wash out.  The transform
+    treats ``y`` as exactly uniform, with the step taken from its ends; a grid
+    whose steps differ by the relative 1e-12 the input check allows shifts the
+    transform by up to about eta_max * (y[-1] - y[0]) * 1e-12.
     """
     if A.dim != 2:
         raise ValueError("fourier synthesis is implemented for the half-plane")
@@ -350,9 +405,7 @@ def fourier_synthesis(A: MetricBlock, y, phi, h, points, eta_max: float = 40.0,
     w = np.full(eta_points, deta)
     w[0] = w[-1] = 0.5 * deta
 
-    phase = np.exp(-1j * np.outer(etas, y))
-    phi_hat = dy * phase @ phi
-    h_hat = dy * phase @ h
+    phi_hat, h_hat = dy * _chirp_z(np.stack([phi, h]), y, etas)
     rate = math.sqrt(float(A.a_tan[0, 0]) / A.a_nn) * np.abs(etas)
 
     out = np.zeros(pts.shape[0])

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import os
 import subprocess
 import sys
 
@@ -35,6 +36,24 @@ def test_weight_expr_constants_and_parameter():
     assert expr.fn(math.pi) == pytest.approx(1.0)
     nested = WeightExpr("1 + 0.5*sin(2*theta)")
     assert nested.fn(math.pi / 4) == pytest.approx(1.5)
+
+
+def test_weight_expr_deep_nesting_is_a_validation_error(capsys):
+    for deep in ("(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1",
+                 "cos(" * 400 + "t" + ")" * 400):
+        with pytest.raises(ValueError, match="nested deeper"):
+            WeightExpr(deep)
+    code, _, err = run_cli(capsys, "symbol", "--rho", "(" * 3000 + "1" + ")" * 3000)
+    assert code == 2 and "nested deeper" in err
+    # each binary operator nests the evaluation closures one level deeper
+    for chain in ("+".join(["1"] * 3000), "*".join(["1"] * 3000)):
+        with pytest.raises(ValueError, match="nested deeper"):
+            WeightExpr(chain)
+    assert WeightExpr("+".join(["1"] * 101)).constant_value() == 101.0
+    assert WeightExpr("-".join(["1"] * 101)).constant_value() == -99.0
+    assert WeightExpr("*".join(["2"] * 10)).constant_value() == 1024.0
+    assert WeightExpr("1-2-3+4*5*6-7").constant_value() == 109.0
+    assert WeightExpr("(" * 100 + "2" + ")" * 100).constant_value() == 2.0
 
 
 def test_weight_expr_rejects_garbage():
@@ -178,6 +197,17 @@ def test_halfspace_seeded_block_deterministic(capsys):
     assert float(rows[-1][3]) < 1e-3  # anisotropic target still recovered
 
 
+def test_halfspace_seed_zero_is_a_seed(capsys):
+    base = ("halfspace", "--problem", "p1", "--levels", "1", "--h", str(1 / 64))
+    code, unseeded, _ = run_cli(capsys, *base)
+    assert code == 0
+    code, seeded, _ = run_cli(capsys, *base, "--seed", "0")
+    assert code == 0
+    target = lambda out: float(parse_csv(out)[1][-1][2])
+    assert target(unseeded) == pytest.approx(2.0, rel=1e-14)  # identity block, eta = 1
+    assert target(seeded) != target(unseeded)
+
+
 def test_halfspace_validation(capsys):
     code, _, _ = run_cli(capsys, "halfspace", "--problem", "harmonic")
     assert code == 2
@@ -288,3 +318,26 @@ def test_unknown_flag_exits_2():
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
+
+
+def _fresh_python(code):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_import_does_not_load_scipy():
+    assert _fresh_python("import sys, bisteklov; print('scipy' in sys.modules)") == "False"
+
+
+def test_kernel_mode_does_not_load_scipy():
+    out = _fresh_python(
+        "import os, sys\n"
+        "from bisteklov.cli import main\n"
+        "code = main(['halfspace', '--mode', 'kernel', '--samples', '32', '--L', '16',\n"
+        "             '--out', os.devnull])\n"
+        "print(code, 'scipy' in sys.modules)")
+    assert out == "0 False"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from bisteklov import (
     solve_by_kernel,
     xi_norm,
 )
-from bisteklov.halfspace import _solve_ode
+from bisteklov.halfspace import _chirp_z, _solve_ode
 
 
 def random_block(seed):
@@ -227,6 +228,18 @@ def test_kernel_k2_half_space_closed_form():
             assert kernel_K(A, "K2", xp, xn, 512) == pytest.approx(expected, abs=1e-12)
 
 
+def test_kernel_half_space_closed_forms_at_default_nodes():
+    # 3 x_n^3 / (2 pi |x|^5) and x_n^2 / (2 pi |x|^3) with the default 256 circle nodes
+    A = MetricBlock.identity(3)
+    for xp in ([0.0, 0.0], [1.0, 0.0], [0.5, -1.2], [2.0, 1.0], [-1.5, 0.7]):
+        for xn in (0.3, 0.7, 1.0, 2.0):
+            r2 = xp[0] ** 2 + xp[1] ** 2 + xn**2
+            k1 = 3 * xn**3 / (2 * math.pi * r2**2.5)
+            k2 = xn**2 / (2 * math.pi * r2**1.5)
+            assert kernel_K(A, "K1", xp, xn) == pytest.approx(k1, abs=1e-12)
+            assert kernel_K(A, "K2", xp, xn) == pytest.approx(k2, abs=1e-12)
+
+
 def test_kernel_symmetry_and_quadrature_stability():
     A = MetricBlock(np.array([[2.0]]), 1.5)
     assert kernel_K(A, "K2", 0.7, 0.9) == pytest.approx(
@@ -346,3 +359,62 @@ def test_solve_by_kernel_rejections():
         solve_by_kernel(A, np.geomspace(1, 10, 32), gauss, None, [(0.0, 1.0)])
     with pytest.raises(ValueError):
         solve_by_kernel(MetricBlock.identity(3), y, gauss, None, [(0.0, 1.0)])
+
+
+@pytest.mark.parametrize("use_phi, use_h", [(True, False), (False, True), (True, True)])
+def test_solve_by_kernel_equals_kernel_double_loop(use_phi, use_h):
+    # the array route against the defining sum over (point, sample) pairs
+    A = MetricBlock(np.array([[2.2]]), 1.4)
+    y = np.linspace(-8, 8, 48)
+    phi = np.exp(-((y - 0.5) ** 2)) if use_phi else None
+    h = np.exp(-((y + 1.0) ** 2)) * np.cos(y) if use_h else None
+    pts = [(-1.5, 0.4), (0.0, 1.0), (0.7, 2.5), (3.0, 0.05)]
+    dy = y[1] - y[0]
+    expected = []
+    for xp, xn in pts:
+        acc = 0.0
+        for j, yj in enumerate(y):
+            if use_phi:
+                acc += kernel_K(A, "K1", xp - yj, xn) * phi[j]
+            if use_h:
+                acc += kernel_K(A, "K2", xp - yj, xn) * h[j]
+        expected.append(acc * dy)
+    got = solve_by_kernel(A, y, phi, h, pts)
+    assert np.allclose(got, expected, rtol=0.0, atol=1e-13)
+
+
+def test_solve_by_kernel_blocks_agree_with_single_points():
+    # 300 points x 256 samples spans two evaluation blocks
+    A = MetricBlock(np.array([[1.3]]), 0.9)
+    y = np.linspace(-10, 10, 256)
+    data = np.exp(-(y**2))
+    pts = [(float(x), 0.5 + 0.01 * i) for i, x in enumerate(np.linspace(-4, 4, 300))]
+    together = solve_by_kernel(A, y, data, data, pts)
+    alone = [solve_by_kernel(A, y, data, data, [p])[0] for p in pts]
+    assert np.allclose(together, alone, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("eta_points", [513, 8193])
+def test_chirp_z_equals_direct_transform(eta_points):
+    # off-centre sample grid, two stacked data rows
+    y = np.linspace(-3.0, 9.0, 96)
+    data = np.stack([np.exp(-((y - 2.0) ** 2)), np.exp(-((y - 4.0) ** 2)) * np.cos(3.0 * y)])
+    etas = np.linspace(-40.0, 40.0, eta_points)
+    direct = data @ np.exp(-1j * np.outer(etas, y)).T
+    assert np.max(np.abs(_chirp_z(data, y, etas) - direct)) < 1e-12
+
+
+def test_fourier_synthesis_memory_stays_linear():
+    # a samples x eta_points or points x eta_points array would be 16.8 MB here
+    A = MetricBlock.identity(2)
+    y = np.linspace(-15, 15, 128)
+    data = np.exp(-(y**2))
+    pts = [(float(x), 1.0) for x in y]
+    fourier_synthesis(A, y, None, data, pts)  # warm the FFT caches
+    tracemalloc.start()
+    try:
+        fourier_synthesis(A, y, None, data, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
