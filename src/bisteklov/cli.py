@@ -243,6 +243,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
+    for field, caster in _FIELD_TYPES.items():
+        if caster is float and not math.isfinite(getattr(cfg, field)):
+            raise ValueError(f"{field} must be finite")
     if cfg.n < 2:
         raise ValueError("need n >= 2")
     if cfg.problem is not ProblemKind.NEUMANN_TRACE and cfg.command in ("spectrum", "weyl") \

@@ -1,9 +1,10 @@
 """Constant-coefficient biharmonic model problems on the half-space.
 
 Three independent routes to the same boundary maps live here: exact
-Fourier-side profiles in the normal variable, a banded finite-difference
-solver for the fourth-order two-point problem that recovers the boundary
-symbols numerically, and the explicit sphere-integral kernels evaluated by
+Fourier-side profiles in the normal variable, a finite-difference solver for
+the fourth-order two-point problem that recovers the boundary symbols
+numerically (a factored tridiagonal influence-matrix solve in plain double
+precision), and the explicit sphere-integral kernels evaluated by
 quadrature.  Tests play the routes against one another.
 """
 
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -94,9 +94,10 @@ def xi_norm(A: MetricBlock, eta) -> float:
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     if eta.shape != (A.dim - 1,):
         raise ValueError(f"covector must have {A.dim - 1} components")
-    if not np.any(eta):
-        raise ValueError("covector must be nonzero")
-    return math.sqrt(float(eta @ A.a_tan @ eta) / A.a_nn)
+    rate = math.sqrt(float(eta @ A.a_tan @ eta) / A.a_nn)
+    if not 0.0 < rate < math.inf:
+        raise ValueError("covector must be nonzero and finite, with a norm in double range")
+    return rate
 
 
 # ---------------------------------------------------------------------------
@@ -127,72 +128,56 @@ def fourier_solution_p2(A: MetricBlock, datum: FourierDatum, x_n):
 # finite-difference recovery of the boundary symbols
 # ---------------------------------------------------------------------------
 
-def _banded_matvec(diags: list[np.ndarray], offsets: Sequence[int], x: np.ndarray):
-    n = x.shape[0]
-    out = np.zeros(n, dtype=x.dtype)
-    for diag, off in zip(diags, offsets):
-        if off >= 0:
-            out[: n - off] += diag * x[off:]
-        else:
-            out[-off:] += diag * x[: n + off]
-    return out
-
-
 def _solve_ode(A: MetricBlock, k: float, grid: HalfSpaceGrid, bc_value: float,
                bc_slope: float) -> np.ndarray:
     """Solve the discretized (d^2/dx^2 - k^2)^2 u = 0 on [0, L].
 
     Boundary rows: u(0) = bc_value, one-sided second-order u'(0) = bc_slope,
     far field u(L) = u'(L) = 0.  Interior rows use the five-point stencil of
-    the squared operator scaled by h^4.  One step of extended-precision
-    iterative refinement compensates the fourth-order conditioning.
+    the squared operator scaled by h^4, [1, -4-2s, 6+4s+s^2, -4-2s, 1] with
+    s = (k h)^2, which is T^2 for the SPD tridiagonal T = tridiag(-1, 2+s, -1)
+    on the nodes 1 .. n-1.  So v = T u solves T v = a e_1 + b e_{n-1}, and
+    u = T^-1 (bc_value e_1 + v) follows from two solves with one factorization
+    of T; the 2x2 influence (capacitance) system of the two slope rows gives
+    a and b (Glowinski & Pironneau 1979, Kleiser & Schumann 1980).  Plain
+    double precision throughout.
     """
     if grid.L * k < 20.0:
         raise AdequacyError(f"need L * |xi'| >= 20, got {grid.L * k:.3f}")
     h = grid.h
     n = grid.n_steps
-    s = (k * h) ** 2
+    # T = L D L^T with the closed-form pivots d_i = sinh((i+1) theta) / sinh(i theta),
+    # 2 cosh(theta) = 2 + s.  The recurrence d_i = 2 + s - 1/d_{i-1} (LAPACK dpttrf)
+    # passes a rounding error of order eps in s from row to row, which moves the p1
+    # symbol by 4e-10 at k h = 1/32768.
+    theta = 2.0 * math.asinh(0.5 * k * h)
+    i = np.arange(1, n)
+    d = 1.0 + math.expm1(theta) * (1.0 + np.exp(-(2 * i + 1) * theta)) / -np.expm1(-2 * theta * i)
+    sub = -1.0 / d[:-1]  # the subdiagonal of L
 
-    ab = np.zeros((5, n + 1))
-    # interior rows i = 2 .. n-2: [1, -4-2s, 6+4s+s^2, -4-2s, 1]
-    ab[0, 4 : n + 1] = 1.0
-    ab[1, 3:n] = -4.0 - 2.0 * s
-    ab[2, 2 : n - 1] = 6.0 + 4.0 * s + s * s
-    ab[3, 1 : n - 2] = -4.0 - 2.0 * s
-    ab[4, 0 : n - 3] = 1.0
-    # row 0: trace
-    ab[2, 0] = 1.0
-    # row 1: one-sided slope (-3 u0 + 4 u1 - u2) = 2 h * bc_slope
-    ab[3, 0] = -3.0
-    ab[2, 1] = 4.0
-    ab[1, 2] = -1.0
-    # row n-1: far-field slope (u_{n-2} - 4 u_{n-1} + 3 u_n) = 0
-    ab[3, n - 2] = 1.0
-    ab[2, n - 1] = -4.0
-    ab[1, n] = 3.0
-    # row n: far-field value
-    ab[2, n] = 1.0
+    from scipy.linalg import lapack  # deferred: only this solve needs scipy, slow to import
 
-    rhs = np.zeros(n + 1)
-    rhs[0] = bc_value
-    rhs[1] = 2.0 * h * bc_slope
+    unit = np.zeros((n - 1, 2), order="F")
+    unit[0, 0] = unit[-1, 1] = 1.0
+    w, info_w = lapack.dpttrs(d, sub, unit)  # T^-1 [e_1, e_{n-1}]: the basis of v
+    z, info_z = lapack.dpttrs(d, sub, w)  # T^-2 [e_1, e_{n-1}]: its u responses
+    if info_w or info_z:
+        raise SolverError(f"tridiagonal solve failed: LAPACK info {info_w or info_z}")
+    particular = bc_value * w[:, 0]
 
-    import scipy.linalg  # deferred: only this solve needs scipy, and it is slow to import
-
+    # slope rows on u_1, u_2 and u_{n-2}, u_{n-1}: 4 u_1 - u_2 = 2 h bc_slope + 3 bc_value,
+    # u_{n-2} - 4 u_{n-1} = 0 (u_n = 0)
+    ends, slope = [0, 1, -2, -1], np.array([[4.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -4.0]])
+    rhs = np.array([2.0 * h * bc_slope + 3.0 * bc_value, 0.0]) - slope @ particular[ends]
     try:
-        u = scipy.linalg.solve_banded((2, 2), ab, rhs)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise SolverError(f"banded solve failed: {exc}") from None
+        a_b = np.linalg.solve(slope @ z[ends], rhs)
+    except np.linalg.LinAlgError:
+        raise SolverError("singular influence matrix") from None
+    u = np.zeros(n + 1)
+    u[0] = bc_value
+    u[1:n] = particular + z @ a_b
     if not np.all(np.isfinite(u)):
-        raise SolverError("banded solve produced non-finite values")
-
-    # refinement step: residual in 80-bit floats, correction in the same LU-free solve
-    offsets = (2, 1, 0, -1, -2)
-    diags64 = [ab[0, 2:], ab[1, 1:], ab[2], ab[3, :-1], ab[4, :-2]]
-    diags = [d.astype(np.longdouble) for d in diags64]
-    resid = rhs.astype(np.longdouble) - _banded_matvec(diags, offsets, u.astype(np.longdouble))
-    du = scipy.linalg.solve_banded((2, 2), ab, resid.astype(float))
-    u = u + du
+        raise SolverError("tridiagonal solve produced non-finite values")
     return u
 
 
@@ -238,7 +223,8 @@ def _kernel_values(A: MetricBlock, which: str, x: np.ndarray, x_n: np.ndarray,
     """K1 or K2 at boundary offsets ``x`` (shape S + (n-1,)) and heights ``x_n``
     (broadcastable to S) by one sphere rule: the directions +-1 with weight 1 for n = 2,
     ``quad_points`` equispaced circle directions with weight 2 pi/quad_points
-    for n = 3.  Raises SolverError if an imaginary part exceeds 1e-10."""
+    for n = 3.  Raises SolverError on a non-finite value or an imaginary part
+    above 1e-10."""
     n = A.dim
     x_n = np.asarray(x_n, dtype=float)
     if not np.all(x_n > 0):
@@ -257,6 +243,8 @@ def _kernel_values(A: MetricBlock, which: str, x: np.ndarray, x_n: np.ndarray,
         integrand = r ** (n - 1) * (1.0 + (n - 1) * 1j * xq * r)
     prefactor = (-1.0) ** (n - 1) * math.factorial(n - 2) / (2.0j * math.pi) ** (n - 1)
     value = prefactor * weight * integrand.sum(axis=-1)
+    if not np.all(np.isfinite(value)):
+        raise SolverError("kernel integral is not finite")
     worst = np.max(np.abs(value.imag), initial=0.0)
     if worst > 1e-10:
         raise SolverError(f"kernel integral has imaginary part {worst:.3e}")
@@ -269,8 +257,9 @@ def kernel_K(A: MetricBlock, which: str, x, x_n: float, quad_points: int = 256) 
     For a 1-dimensional boundary the sphere is the two points +-1 (summed
     exactly); for a 2-dimensional boundary the circle integral uses the
     periodic trapezoid rule.  The kernels are singular on the boundary, so
-    x_n must be positive.  The imaginary part of the assembled integral must
-    vanish to rounding and is checked before the real part is returned.
+    x_n must be positive.  The assembled integral must be finite and its
+    imaginary part must vanish to rounding; both are checked before the real
+    part is returned.
     """
     if which not in ("K1", "K2"):
         raise ValueError("which must be 'K1' or 'K2'")
@@ -399,6 +388,8 @@ def fourier_synthesis(A: MetricBlock, y, phi, h, points, eta_max: float = 40.0,
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if np.any(pts[:, 1] <= 0):
         raise ValueError("evaluation points need x_n > 0")
+    if not (eta_points >= 2 and 0.0 < eta_max < math.inf):
+        raise ValueError("need eta_points >= 2 and a finite eta_max > 0")
 
     etas = np.linspace(-eta_max, eta_max, eta_points)
     deta = etas[1] - etas[0]

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import math
@@ -5,7 +6,9 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bisteklov import halfspace
 from bisteklov.cli import WeightExpr, main
@@ -217,6 +220,25 @@ def test_halfspace_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("halfspace", "--L", "inf", "--levels", "1"), "L must be finite"),
+    (("halfspace", "--eta", "inf", "--levels", "1"), "eta must be finite"),
+    (("symbol", "--eta", "nan", "--points", "2"), "eta must be finite"),
+    (("halfspace", "--mode", "kernel", "--samples", "16", "--xn", "inf"), "xn must be finite"),
+    (("halfspace", "--epsilon", "nan"), "epsilon must be finite"),
+    (("halfspace", "--h", "inf"), "h must be finite"),
+    (("halfspace", "--h=-inf"), "h must be finite"),
+    (("weyl", "--xn=-inf"), "xn must be finite"),
+    # finite flags whose covector norm overflows or underflows
+    (("halfspace", "--eta", "1e200", "--levels", "1"), "double range"),
+    (("halfspace", "--eta", "1e-200", "--levels", "1"), "double range"),
+])
+def test_non_finite_values_exit_2(capsys, argv, message):
+    with np.errstate(over="ignore", under="ignore"):
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and message in err
+
+
 def test_halfspace_numerical_failure_maps_to_exit_3(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise halfspace.SolverError("synthetic failure")
@@ -224,6 +246,67 @@ def test_halfspace_numerical_failure_maps_to_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(halfspace, "bvp_solve_p1", boom)
     code, _, err = run_cli(capsys, "halfspace", "--problem", "p1", "--levels", "1")
     assert code == 3 and "synthetic failure" in err
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract: 0, 2 or 3 and never a traceback, for any argv
+# ---------------------------------------------------------------------------
+
+_HOSTILE_FLOAT = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e-3, 1e-3])
+_HOSTILE_INT = st.sampled_from([-1, 0, 1])
+
+# flag: (valid values, hostile values); no draw makes a grid of more than 40 * 1000 unknowns
+_FLAGS = {
+    "bvp": {
+        "--h": (st.floats(1 / 256, 0.5), _HOSTILE_FLOAT),
+        "--L": (st.floats(20.0, 40.0), _HOSTILE_FLOAT),
+        "--levels": (st.integers(1, 3), _HOSTILE_INT),
+        "--eta": (st.floats(0.1, 4.0), _HOSTILE_FLOAT),
+        "--seed": (st.integers(0, 5), st.just(-1)),
+        "--problem": (st.sampled_from(["p1", "p2"]), st.just("harmonic")),
+        "--n": (st.integers(2, 3), _HOSTILE_INT),
+    },
+    "kernel": {
+        "--samples": (st.integers(4, 48), _HOSTILE_INT),
+        "--L": (st.floats(12.0, 40.0), _HOSTILE_FLOAT),
+        "--xn": (st.floats(0.05, 4.0), _HOSTILE_FLOAT),
+        "--quad-points": (st.integers(4, 16), _HOSTILE_INT),
+    },
+    "symbol": {
+        "--rho": (st.sampled_from(["1", "2+cos(t)", "1+0.5*sin(2*t)"]),
+                  st.sampled_from(["cos(t)", "-1"])),
+        "--eta": (st.floats(0.1, 4.0), _HOSTILE_FLOAT),
+        "--epsilon": (st.floats(0.0, 1.0), _HOSTILE_FLOAT),
+        "--points": (st.integers(1, 8), _HOSTILE_INT),
+        "--panels": (st.integers(1, 16), _HOSTILE_INT),
+        "--problem": (st.sampled_from(["p1", "p2", "harmonic"]), st.just("p3")),
+        "--n": (st.integers(2, 3), _HOSTILE_INT),
+    },
+}
+
+
+@st.composite
+def _argv(draw):
+    # each flag absent, valid or hostile, so that many draws hold a single
+    # hostile value, which then gets past validation of the others into the
+    # computation; --flag=value lets argparse take "-inf" and "-1" as values
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = ["symbol"] if command == "symbol" else ["halfspace", f"--mode={command}"]
+    for flag, (valid, hostile) in _FLAGS[command].items():
+        kind = draw(st.sampled_from(["absent", "valid", "valid", "hostile"]))
+        if kind != "absent":
+            argv.append(f"{flag}={draw(valid if kind == 'valid' else hostile)}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_argv())
+def test_exit_code_contract_property(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from bisteklov import (
     FourierDatum,
     HalfSpaceGrid,
     MetricBlock,
+    SolverError,
     bvp_solve_p1,
     bvp_solve_p2,
     fourier_solution_p1,
@@ -133,7 +134,7 @@ def test_discrete_equation_residual_second_order():
 
 
 # ---------------------------------------------------------------------------
-# the banded solver
+# the factored tridiagonal (influence-matrix) solver
 # ---------------------------------------------------------------------------
 
 def test_bvp_p1_identity_quick():
@@ -193,6 +194,63 @@ def test_discrete_solution_matches_profile_at_second_order():
         exact = np.real(fourier_solution_p2(A, datum, grid.nodes))
         devs.append(float(np.max(np.abs(u - exact))))
     assert 3.0 < devs[0] / devs[1] < 5.0
+
+
+def _pentadiagonal_residuals(u, k, grid, bc_value, bc_slope):
+    # the discrete system row by row: five-point interior rows of (d^2 - k^2)^2
+    # scaled by h^4, trace row, the two one-sided slope rows, u(L) = 0
+    h, n = grid.h, grid.n_steps
+    s = (k * h) ** 2
+    interior = (u[:-4] + (-4 - 2 * s) * u[1:-3] + (6 + 4 * s + s * s) * u[2:-2]
+                + (-4 - 2 * s) * u[3:-1] + u[4:])
+    boundary = [u[0] - bc_value, -3 * u[0] + 4 * u[1] - u[2] - 2 * h * bc_slope,
+                u[n - 2] - 4 * u[n - 1] + 3 * u[n], u[n]]
+    return float(np.max(np.abs(interior))) / float(np.max(np.abs(u))), max(map(abs, boundary))
+
+
+@pytest.mark.parametrize("seed", [4, 11])
+@pytest.mark.parametrize("scaled", [64, 4096, 16384])
+def test_solution_satisfies_the_pentadiagonal_system(seed, scaled):
+    A, eta = random_block(seed)
+    k = xi_norm(A, eta)
+    h = 1.0 / (scaled * k)
+    grid = HalfSpaceGrid(h, math.ceil(30.0 * scaled) * h)
+    for bc_value, bc_slope in ((0.0, 1.0 / math.sqrt(A.a_nn)), (1.0, 0.0)):
+        u = _solve_ode(A, k, grid, bc_value, bc_slope)
+        assert u.shape == (grid.n_steps + 1,)
+        interior, boundary = _pentadiagonal_residuals(u, k, grid, bc_value, bc_slope)
+        assert interior <= 1e-12 and boundary <= 1e-12
+
+
+@pytest.mark.parametrize("block", ["identity", "seeded"])
+def test_p1_error_falls_monotonically_to_h_65536(block):
+    # a pentadiagonal LU with one long-double refinement step gave 0.45 at 1/16384
+    A, eta = (MetricBlock.identity(2), np.array([1.0])) if block == "identity" else random_block(5)
+    k = xi_norm(A, eta)
+    target = 2.0 * math.sqrt(float(eta @ A.a_tan @ eta))
+    errors = []
+    for scaled in (2.0 ** p for p in range(9, 17)):
+        h = 1.0 / (scaled * k)
+        grid = HalfSpaceGrid(h, math.ceil(30.0 * scaled) * h)
+        rel = abs(bvp_solve_p1(A, FourierDatum(eta), grid) - target) / target
+        assert rel <= 32.0 / scaled**2
+        errors.append(rel)
+    assert all(a > b for a, b in zip(errors, errors[1:]))
+
+
+def test_solve_raises_on_non_finite_results(monkeypatch):
+    A = MetricBlock.identity(2)
+    grid = HalfSpaceGrid(1 / 64, 30.0)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(SolverError, match="non-finite"):
+            _solve_ode(A, 1.0, grid, float("inf"), 0.0)
+        with pytest.raises(SolverError):
+            _solve_ode(A, float("nan"), grid, 1.0, 0.0)  # NaN passes the L * |xi'| guard
+    from scipy.linalg import lapack
+
+    monkeypatch.setattr(lapack, "dpttrs", lambda d, e, b: (b, -3))
+    with pytest.raises(SolverError, match="LAPACK info -3"):
+        _solve_ode(A, 1.0, grid, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +318,13 @@ def test_kernel_rejections():
         kernel_K(MetricBlock.identity(4), "K2", [0.0, 0.0, 0.0], 1.0)
     with pytest.raises(ValueError):
         kernel_K(MetricBlock.identity(3), "K2", [0.0, 0.0], 1.0, quad_points=17)
+
+
+@pytest.mark.parametrize("which, x, x_n", [
+    ("K2", float("nan"), 1.0), ("K1", float("nan"), 1.0), ("K2", 0.0, float("inf"))])
+def test_kernel_non_finite_value_is_a_solver_error(which, x, x_n):
+    with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="not finite"):
+        kernel_K(MetricBlock.identity(2), which, x, x_n)
 
 
 def _k2_bilaplacian_residual(h):
@@ -359,6 +424,15 @@ def test_solve_by_kernel_rejections():
         solve_by_kernel(A, np.geomspace(1, 10, 32), gauss, None, [(0.0, 1.0)])
     with pytest.raises(ValueError):
         solve_by_kernel(MetricBlock.identity(3), y, gauss, None, [(0.0, 1.0)])
+
+
+@pytest.mark.parametrize("eta_max, eta_points", [
+    (40.0, 1), (40.0, 0), (float("nan"), 513), (float("inf"), 513), (0.0, 513), (-40.0, 513)])
+def test_fourier_synthesis_rejects_bad_frequency_grids(eta_max, eta_points):
+    y = np.linspace(-6, 6, 32)
+    with pytest.raises(ValueError, match="eta_points"):
+        fourier_synthesis(MetricBlock.identity(2), y, None, np.exp(-(y**2)), [(0.0, 1.0)],
+                          eta_max=eta_max, eta_points=eta_points)
 
 
 @pytest.mark.parametrize("use_phi, use_h", [(True, False), (False, True), (True, True)])
