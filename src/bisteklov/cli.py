@@ -12,8 +12,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -154,57 +153,45 @@ class WeightExpr:
 # configuration
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunConfig:
-    command: str
-    problem: ProblemKind
-    n: int
-    m_max: int
-    rho: str
-    h: float
-    L: float
-    panels: int
-    quad_points: int
-    eta: float
-    epsilon: float
-    levels: int
-    points: int
-    samples: int
-    xn: float
-    seed: int | None
-    mode: str
-    out: str | None
+class _Setting(NamedTuple):
+    type: type
+    default: object
+    choices: tuple | None = None
+    help: str | None = None
 
+
+# Every setting once: the flag --name (underscores as dashes), the config-file
+# key, the type that casts it, its default and its choices; float settings
+# must be finite.  The filled argparse namespace is the run configuration.
+_SETTINGS = {
+    "problem": _Setting(str, "p1", tuple(sorted(_PROBLEMS))),
+    "n": _Setting(int, 2),
+    "m_max": _Setting(int, 10),
+    "rho": _Setting(str, "1", help="weight: constant or expression in t"),
+    "h": _Setting(float, 1.0 / 256.0),
+    "L": _Setting(float, 30.0),
+    "panels": _Setting(int, 64),
+    "quad_points": _Setting(int, 256),
+    "eta": _Setting(float, 1.0),
+    "epsilon": _Setting(float, 0.0),
+    "levels": _Setting(int, 4),
+    "points": _Setting(int, 72),
+    "samples": _Setting(int, 128),
+    "xn": _Setting(float, 1.0),
+    # None: the identity block; any integer, 0 included, seeds a block
+    "seed": _Setting(int, None),
+    "mode": _Setting(str, "bvp", ("bvp", "kernel")),
+    "out": _Setting(str, None, help="output path (default: stdout)"),
+}
 
 # the growth-law study needs enough eigenvalues for a decade-wide fit
 _COMMAND_DEFAULTS = {"weyl": {"m_max": 200}}
 
-_DEFAULTS = {
-    "problem": "p1",
-    "n": 2,
-    "m_max": 10,
-    "rho": "1",
-    "h": 1.0 / 256.0,
-    "L": 30.0,
-    "panels": 64,
-    "quad_points": 256,
-    "eta": 1.0,
-    "epsilon": 0.0,
-    "levels": 4,
-    "points": 72,
-    "samples": 128,
-    "xn": 1.0,
-    "seed": None,  # None: the identity block; any integer, 0 included, seeds a block
-    "mode": "bvp",
-    "out": None,
-}
-
-_FIELD_TYPES = {
-    "problem": str, "n": int, "m_max": int, "rho": str, "h": float, "L": float,
-    "panels": int, "quad_points": int, "eta": float, "epsilon": float,
-    "levels": int, "points": int, "samples": int, "xn": float, "seed": int,
-    "mode": str, "out": str,
-}
+# the ladder scales the step by 2.0 ** level, which overflows past level 1023
+_MAX_LEVELS = 32
+# steps of the finest finite-difference grid: a solve holds about 96 bytes a
+# step (tracemalloc peak 96 MiB at 2**20 steps), so at most about 400 MiB
+_MAX_STEPS = 2 ** 22
 
 
 def _read_config_file(path: str) -> dict:
@@ -220,32 +207,36 @@ def _read_config_file(path: str) -> dict:
                     break
             else:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
-            values[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key not in _SETTINGS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            values[key] = val.strip()
     return values
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    file_values = _read_config_file(args.config) if args.config else {}
-    command_defaults = _COMMAND_DEFAULTS.get(args.command, {})
-    merged = {}
-    for field, caster in _FIELD_TYPES.items():
-        flag = getattr(args, field, None)
-        if flag is not None:
-            merged[field] = flag
-        elif field in file_values:
-            merged[field] = caster(file_values[field])
-        else:
-            merged[field] = command_defaults.get(field, _DEFAULTS[field])
-    if merged["problem"] not in _PROBLEMS:
-        raise ValueError(f"unknown problem {merged['problem']!r}")
-    merged["problem"] = _PROBLEMS[merged["problem"]]
-    return RunConfig(command=args.command, **merged)
-
-
-def _validate(cfg: RunConfig) -> None:
-    for field, caster in _FIELD_TYPES.items():
-        if caster is float and not math.isfinite(getattr(cfg, field)):
+def _build_config(cfg: argparse.Namespace) -> argparse.Namespace:
+    """Fill the settings no flag gave: config file, then command default, then
+    the table default; then check choices and finiteness."""
+    file_values = _read_config_file(cfg.config) if cfg.config else {}
+    command_defaults = _COMMAND_DEFAULTS.get(cfg.command, {})
+    for field, setting in _SETTINGS.items():
+        value = getattr(cfg, field)
+        if value is None:
+            if field in file_values:
+                value = setting.type(file_values[field])
+            else:
+                value = command_defaults.get(field, setting.default)
+        if setting.choices and value not in setting.choices:
+            raise ValueError(f"{field} must be one of {', '.join(setting.choices)}, "
+                             f"got {value!r}")
+        if setting.type is float and not math.isfinite(value):
             raise ValueError(f"{field} must be finite")
+        setattr(cfg, field, value)
+    cfg.problem = _PROBLEMS[cfg.problem]
+    return cfg
+
+
+def _validate(cfg: argparse.Namespace) -> None:
     if cfg.n < 2:
         raise ValueError("need n >= 2")
     if cfg.problem is not ProblemKind.NEUMANN_TRACE and cfg.command in ("spectrum", "weyl") \
@@ -257,16 +248,14 @@ def _validate(cfg: RunConfig) -> None:
         raise ValueError("need h > 0 and L > 0")
     if cfg.panels < 1 or cfg.quad_points < 4:
         raise ValueError("need panels >= 1 and quad-points >= 4")
-    if cfg.levels < 1 or cfg.points < 1 or cfg.samples < 4:
-        raise ValueError("need levels >= 1, points >= 1, samples >= 4")
+    if not 1 <= cfg.levels <= _MAX_LEVELS or cfg.points < 1 or cfg.samples < 4:
+        raise ValueError(f"need 1 <= levels <= {_MAX_LEVELS}, points >= 1, samples >= 4")
     if cfg.eta == 0.0:
         raise ValueError("eta must be nonzero")
     if cfg.epsilon < 0.0:
         raise ValueError("epsilon must be nonnegative")
     if not cfg.xn > 0.0:
         raise ValueError("xn must be positive")
-    if cfg.mode not in ("bvp", "kernel"):
-        raise ValueError("mode must be bvp or kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +290,7 @@ def _emit(header: list[str], rows: list[list], out: str | None) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _constant_rho(cfg: RunConfig) -> float:
+def _constant_rho(cfg: argparse.Namespace) -> float:
     expr = WeightExpr(cfg.rho)
     if not expr.is_constant:
         raise ValueError("this command needs a constant weight; expressions over "
@@ -312,7 +301,7 @@ def _constant_rho(cfg: RunConfig) -> float:
     return c
 
 
-def _scaled_spectrum(cfg: RunConfig, c: float) -> spectra.Spectrum:
+def _scaled_spectrum(cfg: argparse.Namespace, c: float) -> spectra.Spectrum:
     if cfg.problem is ProblemKind.NEUMANN_TRACE:
         spec = spectra.ball_spectrum_p1(cfg.n, cfg.m_max)
     elif cfg.problem is ProblemKind.DIRICHLET_TRACE:
@@ -328,7 +317,7 @@ def _scaled_spectrum(cfg: RunConfig, c: float) -> spectra.Spectrum:
     return spectra.Spectrum(spec.problem, spec.n, entries)
 
 
-def cmd_spectrum(cfg: RunConfig) -> None:
+def cmd_spectrum(cfg: argparse.Namespace) -> None:
     c = _constant_rho(cfg)
     spec = _scaled_spectrum(cfg, c)
     rows, cumulative = [], 0
@@ -338,7 +327,7 @@ def cmd_spectrum(cfg: RunConfig) -> None:
     _emit(["index", "value", "multiplicity", "cumulative_count"], rows, cfg.out)
 
 
-def cmd_weyl(cfg: RunConfig) -> None:
+def cmd_weyl(cfg: argparse.Namespace) -> None:
     c = _constant_rho(cfg)
     spec = _scaled_spectrum(cfg, c)
     model = counting.WeylModel(cfg.problem, cfg.n,
@@ -359,7 +348,10 @@ def cmd_weyl(cfg: RunConfig) -> None:
     _emit(["tau", "count", "predicted", "residual_scaled"], rows, cfg.out)
 
 
-def _halfspace_bvp(cfg: RunConfig) -> None:
+def _halfspace_bvp(cfg: argparse.Namespace) -> None:
+    # the finest rung has ceil(L/h) steps whatever the covector
+    if not cfg.L / cfg.h <= _MAX_STEPS:
+        raise ValueError(f"grid too fine: L/h = {cfg.L / cfg.h:.6g} steps, at most {_MAX_STEPS}")
     if cfg.seed is not None:
         # seeded SPD block exercises the anisotropic recovery path
         rng = np.random.default_rng(cfg.seed)
@@ -405,7 +397,7 @@ def _halfspace_bvp(cfg: RunConfig) -> None:
     _emit(["h", "recovered", "target", "rel_error"], rows, cfg.out)
 
 
-def _halfspace_kernel(cfg: RunConfig) -> None:
+def _halfspace_kernel(cfg: argparse.Namespace) -> None:
     if cfg.n != 2:
         raise ValueError("kernel mode runs on the half-plane (n = 2)")
     block = halfspace.MetricBlock.identity(2)
@@ -422,14 +414,14 @@ def _halfspace_kernel(cfg: RunConfig) -> None:
     _emit(["x", "kernel", "fourier", "abs_error"], rows, cfg.out)
 
 
-def cmd_halfspace(cfg: RunConfig) -> None:
+def cmd_halfspace(cfg: argparse.Namespace) -> None:
     if cfg.mode == "bvp":
         _halfspace_bvp(cfg)
     else:
         _halfspace_kernel(cfg)
 
 
-def cmd_symbol(cfg: RunConfig) -> None:
+def cmd_symbol(cfg: argparse.Namespace) -> None:
     expr = WeightExpr(cfg.rho)
     weight = counting.unit_circle_weight(expr.fn, cfg.epsilon)
     metric = symbols.BoundaryMetric.identity(cfg.n - 1)
@@ -451,7 +443,7 @@ def cmd_symbol(cfg: RunConfig) -> None:
     _emit(["theta", "rho", "symbol", "phase_volume"], rows, cfg.out)
 
 
-def cmd_identity_check(cfg: RunConfig) -> None:
+def cmd_identity_check(cfg: argparse.Namespace) -> None:
     rows = [[n, counting.gamma_identity_check(n)] for n in range(2, max(cfg.n, 2) + 1)]
     _emit(["n", "residual"], rows, cfg.out)
 
@@ -471,23 +463,9 @@ _DISPATCH = {
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--problem", choices=sorted(_PROBLEMS))
-    common.add_argument("--n", type=int)
-    common.add_argument("--m-max", dest="m_max", type=int)
-    common.add_argument("--rho", type=str, help="weight: constant or expression in t")
-    common.add_argument("--h", type=float)
-    common.add_argument("--L", type=float)
-    common.add_argument("--panels", type=int)
-    common.add_argument("--quad-points", dest="quad_points", type=int)
-    common.add_argument("--eta", type=float)
-    common.add_argument("--epsilon", type=float)
-    common.add_argument("--levels", type=int)
-    common.add_argument("--points", type=int)
-    common.add_argument("--samples", type=int)
-    common.add_argument("--xn", type=float)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--mode", choices=["bvp", "kernel"])
-    common.add_argument("--out", type=str, help="output path (default: stdout)")
+    for field, setting in _SETTINGS.items():
+        common.add_argument("--" + field.replace("_", "-"), type=setting.type,
+                            choices=setting.choices, help=setting.help)
     common.add_argument("--config", type=str, help="key = value file; flags win")
 
     parser = argparse.ArgumentParser(prog="bisteklov",

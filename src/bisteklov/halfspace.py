@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .symbols import _check_spd
+
 
 class SolverError(RuntimeError):
     """Numerical failure inside a solve (singular system, blow-up)."""
@@ -33,15 +35,7 @@ class MetricBlock:
     a_nn: float
 
     def __post_init__(self):
-        a = np.asarray(self.a_tan, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("tangential block must be square")
-        if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
-            raise ValueError("tangential block must be symmetric")
-        try:
-            np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:
-            raise ValueError("tangential block must be positive definite") from None
+        a = _check_spd(self.a_tan, "tangential block")
         if not self.a_nn > 0:
             raise ValueError("normal coefficient must be positive")
         object.__setattr__(self, "a_tan", a)

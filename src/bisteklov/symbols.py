@@ -8,6 +8,7 @@ and metric so downstream volume integrals can use them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -17,6 +18,21 @@ from .spectra import ProblemKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from .counting import BoundaryWeight
+
+
+def _check_spd(matrix, what: str) -> np.ndarray:
+    """``matrix`` as a float array, checked square, symmetric (to 1e-12) and
+    positive definite; ``what`` names it in the error."""
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{what} must be square")
+    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
+        raise ValueError(f"{what} must be symmetric")
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"{what} must be positive definite") from None
+    return a
 
 
 @dataclass(frozen=True)
@@ -30,13 +46,7 @@ class BoundaryMetric:
         g = np.asarray(self.g_inv(x), dtype=float)
         if g.shape != (self.dim, self.dim):
             raise ValueError(f"metric block must be {self.dim}x{self.dim}, got {g.shape}")
-        if not np.allclose(g, g.T, rtol=0.0, atol=1e-12):
-            raise ValueError("metric block must be symmetric")
-        try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            raise ValueError("metric block must be positive definite") from None
-        return g
+        return _check_spd(g, "metric block")
 
     @staticmethod
     def constant(matrix) -> "BoundaryMetric":
@@ -49,14 +59,15 @@ class BoundaryMetric:
 
 
 def quadratic_form(metric: BoundaryMetric, x, eta) -> float:
-    """eta' . g^{-1}(x') . eta', rejecting the zero covector."""
+    """eta' . g^{-1}(x') . eta', rejecting a form that is zero, non-finite or
+    out of double range."""
     eta = np.asarray(eta, dtype=float).reshape(-1)
     if eta.shape != (metric.dim,):
         raise ValueError(f"covector must have {metric.dim} components")
-    if not np.any(eta):
-        raise ValueError("covector must be nonzero")
-    g = metric.matrix_at(x)
-    return float(eta @ g @ eta)
+    q = float(eta @ metric.matrix_at(x) @ eta)
+    if not 0.0 < q < math.inf:
+        raise ValueError("covector must be nonzero and finite, with a form in double range")
+    return q
 
 
 @dataclass(frozen=True)

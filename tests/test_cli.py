@@ -3,14 +3,18 @@ import csv
 import io
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bisteklov import halfspace
+from bisteklov import cli, halfspace
 from bisteklov.cli import WeightExpr, main
 
 
@@ -232,11 +236,37 @@ def test_halfspace_validation(capsys):
     # finite flags whose covector norm overflows or underflows
     (("halfspace", "--eta", "1e200", "--levels", "1"), "double range"),
     (("halfspace", "--eta", "1e-200", "--levels", "1"), "double range"),
+    (("symbol", "--eta", "1e300", "--points", "2"), "double range"),
+    (("symbol", "--eta", "1e-200", "--points", "2"), "double range"),
 ])
 def test_non_finite_values_exit_2(capsys, argv, message):
     with np.errstate(over="ignore", under="ignore"):
         code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and message in err
+
+
+def test_levels_are_bounded(capsys):
+    for levels in ("33", "1100"):
+        code, out, err = run_cli(capsys, "halfspace", "--levels", levels)
+        assert code == 2 and out == "" and "levels <= 32" in err
+
+
+def test_halfspace_grid_cap(capsys, monkeypatch):
+    steps = []
+    monkeypatch.setattr(halfspace, "bvp_solve_p1",
+                        lambda block, datum, grid: steps.append(grid.n_steps) or 2.0)
+    # at the cap: the finest rung has L/h steps whatever the covector
+    code, _, _ = run_cli(capsys, "halfspace", "--levels", "1", "--eta", "3",
+                         "--h", str(30 / 2 ** 22))
+    assert code == 0 and steps == [2 ** 22]
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "halfspace", "--h", "1e-7", "--levels", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == "" and "grid too fine" in err
+    assert steps == [2 ** 22] and peak < 2 ** 20  # refused before any grid exists
 
 
 def test_halfspace_numerical_failure_maps_to_exit_3(capsys, monkeypatch):
@@ -384,6 +414,48 @@ def test_config_file_errors(tmp_path, capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "spectrum", "--config", str(tmp_path / "missing.cfg"))
     assert code == 2
+
+
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    for text in ("mmax = 3\n", "bogus = 1\n"):
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "spectrum", "--config", str(cfg))
+        assert code == 2 and out == "" and "unknown key" in err
+
+
+# one value per setting, each different from its default
+_SAMPLES = {
+    "problem": "harmonic", "n": "3", "m_max": "7", "rho": "2+cos(t)", "h": "0.125",
+    "L": "12.5", "panels": "5", "quad_points": "9", "eta": "0.75", "epsilon": "0.25",
+    "levels": "3", "points": "5", "samples": "9", "xn": "0.5", "seed": "11",
+    "mode": "kernel", "out": "table.csv",
+}
+
+
+def _config(argv):
+    cfg = vars(cli._build_config(cli._build_parser().parse_args(argv)))
+    del cfg["config"]
+    return cfg
+
+
+@pytest.mark.parametrize("field", sorted(cli._SETTINGS))
+def test_flag_and_config_key_give_the_same_configuration(tmp_path, field):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{field} = {_SAMPLES[field]}\n")
+    via_flag = _config(["symbol", "--" + field.replace("_", "-"), _SAMPLES[field]])
+    assert via_flag == _config(["symbol", "--config", str(path)])
+    assert via_flag[field] != _config(["symbol"])[field]
+
+
+def test_readme_commands_run(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = [shlex.split(line, comments=True)[1:]
+                for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+                for line in block.splitlines() if line.startswith("bisteklov ")]
+    assert len(commands) >= 12
+    for argv in commands:
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0, argv
 
 
 def test_module_entrypoint_runs():
