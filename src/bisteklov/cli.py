@@ -156,45 +156,55 @@ class WeightExpr:
 class _Setting(NamedTuple):
     type: type
     default: object
+    commands: tuple[str, ...]
+    bound: tuple[Callable[[object], bool], str] | None = None
     choices: tuple | None = None
     help: str | None = None
 
 
-# Every setting once: the flag --name (underscores as dashes), the config-file
-# key, the type that casts it, its default and its choices; float settings
-# must be finite.  The filled argparse namespace is the run configuration.
+_ALL = ("spectrum", "weyl", "halfspace", "symbol", "identity-check")
+
+# Every setting once: the flag --name (underscores as dashes) and config-file
+# key, the type that casts it, its default, the commands that read it, its
+# bound (a predicate and the condition it states) and its choices; float
+# settings must be finite.  A command takes exactly the settings that name it,
+# and the filled argparse namespace is its run configuration.
 _SETTINGS = {
-    "problem": _Setting(str, "p1", tuple(sorted(_PROBLEMS))),
-    "n": _Setting(int, 2),
-    "m_max": _Setting(int, 10),
-    "rho": _Setting(str, "1", help="weight: constant or expression in t"),
-    "h": _Setting(float, 1.0 / 256.0),
-    "L": _Setting(float, 30.0),
-    "panels": _Setting(int, 64),
-    "quad_points": _Setting(int, 256),
-    "eta": _Setting(float, 1.0),
-    "epsilon": _Setting(float, 0.0),
-    "levels": _Setting(int, 4),
-    "points": _Setting(int, 72),
-    "samples": _Setting(int, 128),
-    "xn": _Setting(float, 1.0),
+    "problem": _Setting(str, "p1", ("spectrum", "weyl", "halfspace", "symbol"),
+                        choices=tuple(sorted(_PROBLEMS))),
+    "n": _Setting(int, 2, _ALL, (lambda v: v >= 2, "n >= 2")),
+    "m_max": _Setting(int, 10, ("spectrum", "weyl"), (lambda v: v >= 0, "m-max >= 0")),
+    "rho": _Setting(str, "1", ("spectrum", "weyl", "symbol"),
+                    help="weight: constant or expression in t"),
+    "h": _Setting(float, 1.0 / 256.0, ("halfspace",), (lambda v: v > 0, "h > 0")),
+    "L": _Setting(float, 30.0, ("halfspace",), (lambda v: v > 0, "L > 0")),
+    "panels": _Setting(int, 64, ("symbol",), (lambda v: v >= 1, "panels >= 1")),
+    "eta": _Setting(float, 1.0, ("halfspace", "symbol"), (lambda v: v != 0, "eta != 0")),
+    "epsilon": _Setting(float, 0.0, ("symbol",), (lambda v: v >= 0, "epsilon >= 0")),
+    # the ladder scales the step by 2.0 ** level, which overflows past level 1023
+    "levels": _Setting(int, 4, ("halfspace",), (lambda v: 1 <= v <= 32, "1 <= levels <= 32")),
+    "points": _Setting(int, 72, ("symbol",), (lambda v: v >= 1, "points >= 1")),
+    "samples": _Setting(int, 128, ("halfspace",), (lambda v: v >= 4, "samples >= 4")),
+    "xn": _Setting(float, 1.0, ("halfspace",), (lambda v: v > 0, "xn > 0")),
     # None: the identity block; any integer, 0 included, seeds a block
-    "seed": _Setting(int, None),
-    "mode": _Setting(str, "bvp", ("bvp", "kernel")),
-    "out": _Setting(str, None, help="output path (default: stdout)"),
+    "seed": _Setting(int, None, ("halfspace",)),
+    "mode": _Setting(str, "bvp", ("halfspace",), choices=("bvp", "kernel")),
+    "out": _Setting(str, None, _ALL, help="output path (default: stdout)"),
 }
 
 # the growth-law study needs enough eigenvalues for a decade-wide fit
 _COMMAND_DEFAULTS = {"weyl": {"m_max": 200}}
 
-# the ladder scales the step by 2.0 ** level, which overflows past level 1023
-_MAX_LEVELS = 32
 # steps of the finest finite-difference grid: a solve holds about 96 bytes a
 # step (tracemalloc peak 96 MiB at 2**20 steps), so at most about 400 MiB
 _MAX_STEPS = 2 ** 22
 
 
-def _read_config_file(path: str) -> dict:
+def _settings_of(command: str) -> dict[str, _Setting]:
+    return {field: s for field, s in _SETTINGS.items() if command in s.commands}
+
+
+def _read_config_file(path: str, fields) -> dict:
     values = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, 1):
@@ -208,18 +218,19 @@ def _read_config_file(path: str) -> dict:
             else:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key = key.strip().replace("-", "_")
-            if key not in _SETTINGS:
+            if key not in fields:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = val.strip()
     return values
 
 
 def _build_config(cfg: argparse.Namespace) -> argparse.Namespace:
-    """Fill the settings no flag gave: config file, then command default, then
-    the table default; then check choices and finiteness."""
-    file_values = _read_config_file(cfg.config) if cfg.config else {}
+    """Fill the command's settings that no flag gave: config file, then command
+    default, then the table default; then check choices, finiteness and bounds."""
+    settings = _settings_of(cfg.command)
+    file_values = _read_config_file(cfg.config, settings) if cfg.config else {}
     command_defaults = _COMMAND_DEFAULTS.get(cfg.command, {})
-    for field, setting in _SETTINGS.items():
+    for field, setting in settings.items():
         value = getattr(cfg, field)
         if value is None:
             if field in file_values:
@@ -231,31 +242,12 @@ def _build_config(cfg: argparse.Namespace) -> argparse.Namespace:
                              f"got {value!r}")
         if setting.type is float and not math.isfinite(value):
             raise ValueError(f"{field} must be finite")
+        if setting.bound and not setting.bound[0](value):
+            raise ValueError(f"need {setting.bound[1]}")
         setattr(cfg, field, value)
-    cfg.problem = _PROBLEMS[cfg.problem]
+    if "problem" in settings:
+        cfg.problem = _PROBLEMS[cfg.problem]
     return cfg
-
-
-def _validate(cfg: argparse.Namespace) -> None:
-    if cfg.n < 2:
-        raise ValueError("need n >= 2")
-    if cfg.problem is not ProblemKind.NEUMANN_TRACE and cfg.command in ("spectrum", "weyl") \
-            and cfg.n != 2:
-        raise ValueError("disk closed forms require n = 2")
-    if cfg.m_max < 0:
-        raise ValueError("need m-max >= 0")
-    if not cfg.h > 0 or not cfg.L > 0:
-        raise ValueError("need h > 0 and L > 0")
-    if cfg.panels < 1 or cfg.quad_points < 4:
-        raise ValueError("need panels >= 1 and quad-points >= 4")
-    if not 1 <= cfg.levels <= _MAX_LEVELS or cfg.points < 1 or cfg.samples < 4:
-        raise ValueError(f"need 1 <= levels <= {_MAX_LEVELS}, points >= 1, samples >= 4")
-    if cfg.eta == 0.0:
-        raise ValueError("eta must be nonzero")
-    if cfg.epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
-    if not cfg.xn > 0.0:
-        raise ValueError("xn must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +296,8 @@ def _constant_rho(cfg: argparse.Namespace) -> float:
 def _scaled_spectrum(cfg: argparse.Namespace, c: float) -> spectra.Spectrum:
     if cfg.problem is ProblemKind.NEUMANN_TRACE:
         spec = spectra.ball_spectrum_p1(cfg.n, cfg.m_max)
+    elif cfg.n != 2:
+        raise ValueError("disk closed forms require n = 2")
     elif cfg.problem is ProblemKind.DIRICHLET_TRACE:
         spec = spectra.disk_spectrum_p2(cfg.m_max)
     else:
@@ -318,6 +312,7 @@ def _scaled_spectrum(cfg: argparse.Namespace, c: float) -> spectra.Spectrum:
 
 
 def cmd_spectrum(cfg: argparse.Namespace) -> None:
+    """Closed-form spectrum as CSV."""
     c = _constant_rho(cfg)
     spec = _scaled_spectrum(cfg, c)
     rows, cumulative = [], 0
@@ -328,6 +323,7 @@ def cmd_spectrum(cfg: argparse.Namespace) -> None:
 
 
 def cmd_weyl(cfg: argparse.Namespace) -> None:
+    """Counting function vs its growth law, with sharpness summary."""
     c = _constant_rho(cfg)
     spec = _scaled_spectrum(cfg, c)
     model = counting.WeylModel(cfg.problem, cfg.n,
@@ -382,7 +378,7 @@ def _halfspace_bvp(cfg: argparse.Namespace) -> None:
     for level in range(cfg.levels - 1, -1, -1):
         # step and truncation scale with the decay rate of the profile
         h = cfg.h * 2.0 ** level / rate
-        steps = max(8, math.ceil(cfg.L / rate / h))
+        steps = math.ceil(cfg.L / rate / h)
         grid = halfspace.HalfSpaceGrid(h, steps * h)
         recovered = solver(block, datum, grid)
         rel = abs(recovered - target) / abs(target)
@@ -404,8 +400,7 @@ def _halfspace_kernel(cfg: argparse.Namespace) -> None:
     y = np.linspace(-cfg.L / 2.0, cfg.L / 2.0, cfg.samples)
     data = np.exp(-(y ** 2))
     points = [(float(x), cfg.xn) for x in y]
-    via_kernel = halfspace.solve_by_kernel(block, y, None, data, points,
-                                           quad_points=cfg.quad_points)
+    via_kernel = halfspace.solve_by_kernel(block, y, None, data, points)
     via_fourier = halfspace.fourier_synthesis(block, y, np.zeros_like(y), data, points)
     rows = [[float(x), k, f, abs(k - f)]
             for x, k, f in zip(y, via_kernel, via_fourier)]
@@ -415,6 +410,7 @@ def _halfspace_kernel(cfg: argparse.Namespace) -> None:
 
 
 def cmd_halfspace(cfg: argparse.Namespace) -> None:
+    """Finite-difference symbol recovery or kernel comparison."""
     if cfg.mode == "bvp":
         _halfspace_bvp(cfg)
     else:
@@ -422,6 +418,7 @@ def cmd_halfspace(cfg: argparse.Namespace) -> None:
 
 
 def cmd_symbol(cfg: argparse.Namespace) -> None:
+    """Weighted symbol and phase volume over the boundary."""
     expr = WeightExpr(cfg.rho)
     weight = counting.unit_circle_weight(expr.fn, cfg.epsilon)
     metric = symbols.BoundaryMetric.identity(cfg.n - 1)
@@ -444,7 +441,8 @@ def cmd_symbol(cfg: argparse.Namespace) -> None:
 
 
 def cmd_identity_check(cfg: argparse.Namespace) -> None:
-    rows = [[n, counting.gamma_identity_check(n)] for n in range(2, max(cfg.n, 2) + 1)]
+    """Residuals of the closed-form constant identity."""
+    rows = [[n, counting.gamma_identity_check(n)] for n in range(2, cfg.n + 1)]
     _emit(["n", "residual"], rows, cfg.out)
 
 
@@ -462,26 +460,17 @@ _DISPATCH = {
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    for field, setting in _SETTINGS.items():
-        common.add_argument("--" + field.replace("_", "-"), type=setting.type,
-                            choices=setting.choices, help=setting.help)
-    common.add_argument("--config", type=str, help="key = value file; flags win")
-
-    parser = argparse.ArgumentParser(prog="bisteklov",
+    # allow_abbrev=False everywhere: a prefix such as --h would resolve to --help
+    parser = argparse.ArgumentParser(prog="bisteklov", allow_abbrev=False,
                                      description="spectra, counting laws, and "
                                                  "half-space symbol recovery")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrum", parents=[common],
-                   help="closed-form spectrum as CSV")
-    sub.add_parser("weyl", parents=[common],
-                   help="counting function vs its growth law, with sharpness summary")
-    sub.add_parser("halfspace", parents=[common],
-                   help="finite-difference symbol recovery or kernel comparison")
-    sub.add_parser("symbol", parents=[common],
-                   help="weighted symbol and phase volume over the boundary")
-    sub.add_parser("identity-check", parents=[common],
-                   help="residuals of the closed-form constant identity")
+    for command, run in _DISPATCH.items():
+        cmd = sub.add_parser(command, help=run.__doc__, allow_abbrev=False)
+        for field, setting in _settings_of(command).items():
+            cmd.add_argument("--" + field.replace("_", "-"), type=setting.type,
+                             choices=setting.choices, help=setting.help)
+        cmd.add_argument("--config", type=str, help="key = value file; flags win")
     return parser
 
 
@@ -493,7 +482,6 @@ def main(argv=None) -> int:
         return exc.code if exc.code else 0
     try:
         cfg = _build_config(args)
-        _validate(cfg)
         _DISPATCH[cfg.command](cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

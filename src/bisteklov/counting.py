@@ -64,10 +64,6 @@ class WeylModel:
             raise ValueError("boundary integral must be positive")
 
     @property
-    def denominator_base(self) -> float:
-        return _DENOMINATOR_BASE[self.problem]
-
-    @property
     def c_lead(self) -> float:
         return weyl_leading(self.problem, self.n, self.boundary_integral)
 
@@ -277,8 +273,7 @@ def phase_volume_montecarlo(symbol: HomogeneousSymbol, x, samples: int,
     return MonteCarloVolume(value, stderr, samples, seed)
 
 
-def hormander_phase_volume(symbol: HomogeneousSymbol, x, method: str = "closed",
-                           samples: int = 1_000_000, seed: int = 0) -> float:
+def hormander_phase_volume(symbol: HomogeneousSymbol, x) -> float:
     """Fiber volume of {symbol < 1} under the metric-weighted measure.
 
     For a degree-d symbol c(x) * q(eta)^(d/2) with q the inverse-metric
@@ -287,12 +282,8 @@ def hormander_phase_volume(symbol: HomogeneousSymbol, x, method: str = "closed",
     """
     _require_ellipsoidal(symbol)
     _homogeneity_probe(symbol, x)
-    if method == "closed":
-        dim = symbol.metric.dim
-        return unit_ball_volume(dim) * symbol.coeff(x) ** (-dim / symbol.degree)
-    if method == "montecarlo":
-        return phase_volume_montecarlo(symbol, x, samples, seed).value
-    raise ValueError(f"unknown method {method!r}")
+    dim = symbol.metric.dim
+    return unit_ball_volume(dim) * symbol.coeff(x) ** (-dim / symbol.degree)
 
 
 # ---------------------------------------------------------------------------

@@ -68,8 +68,9 @@ class HalfSpaceGrid:
     L: float
 
     def __post_init__(self):
-        if not (self.h > 0 and self.L > 0):
-            raise ValueError("need h > 0 and L > 0")
+        # L / h overflows for a huge L or a tiny h, and round() refuses inf
+        if not (self.h > 0 and self.L > 0 and self.L / self.h < math.inf):
+            raise ValueError("need h > 0 and L > 0 with a finite L/h")
         steps = self.L / self.h
         if abs(steps - round(steps)) > 1e-9 or round(steps) < 8:
             raise ValueError("L must be an integer multiple (>= 8) of h")
@@ -122,8 +123,7 @@ def fourier_solution_p2(A: MetricBlock, datum: FourierDatum, x_n):
 # finite-difference recovery of the boundary symbols
 # ---------------------------------------------------------------------------
 
-def _solve_ode(A: MetricBlock, k: float, grid: HalfSpaceGrid, bc_value: float,
-               bc_slope: float) -> np.ndarray:
+def _solve_ode(k: float, grid: HalfSpaceGrid, bc_value: float, bc_slope: float) -> np.ndarray:
     """Solve the discretized (d^2/dx^2 - k^2)^2 u = 0 on [0, L].
 
     Boundary rows: u(0) = bc_value, one-sided second-order u'(0) = bc_slope,
@@ -138,6 +138,10 @@ def _solve_ode(A: MetricBlock, k: float, grid: HalfSpaceGrid, bc_value: float,
     """
     if grid.L * k < 20.0:
         raise AdequacyError(f"need L * |xi'| >= 20, got {grid.L * k:.3f}")
+    # at h * |xi'| = 1 the p1 symbol is 26 % off already, and a far coarser
+    # step overflows expm1(theta) below
+    if grid.h * k > 1.0:
+        raise AdequacyError(f"need h * |xi'| <= 1, got {grid.h * k:.3g}")
     h = grid.h
     n = grid.n_steps
     # T = L D L^T with the closed-form pivots d_i = sinh((i+1) theta) / sinh(i theta),
@@ -185,7 +189,7 @@ def bvp_solve_p1(A: MetricBlock, datum: FourierDatum, grid: HalfSpaceGrid) -> fl
     at O(h^2) to twice the tangential metric norm of the covector.
     """
     k = xi_norm(A, datum.eta)
-    u = _solve_ode(A, k, grid, 0.0, 1.0 / math.sqrt(A.a_nn))
+    u = _solve_ode(k, grid, 0.0, 1.0 / math.sqrt(A.a_nn))
     h = grid.h
     upp0 = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / h**2
     return -(A.a_nn * upp0 - A.a_nn * k * k * u[0])
@@ -201,7 +205,7 @@ def bvp_solve_p2(A: MetricBlock, datum: FourierDatum, grid: HalfSpaceGrid) -> fl
     tolerance).
     """
     k = xi_norm(A, datum.eta)
-    u = _solve_ode(A, k, grid, 1.0, 0.0)
+    u = _solve_ode(k, grid, 1.0, 0.0)
     h = grid.h
     up0 = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
     uppp0 = (-2.5 * u[0] + 9.0 * u[1] - 12.0 * u[2] + 7.0 * u[3] - 1.5 * u[4]) / h**3
@@ -213,7 +217,7 @@ def bvp_solve_p2(A: MetricBlock, datum: FourierDatum, grid: HalfSpaceGrid) -> fl
 # ---------------------------------------------------------------------------
 
 def _kernel_values(A: MetricBlock, which: str, x: np.ndarray, x_n: np.ndarray,
-                   quad_points: int) -> np.ndarray:
+                   quad_points: int | None = None) -> np.ndarray:
     """K1 or K2 at boundary offsets ``x`` (shape S + (n-1,)) and heights ``x_n``
     (broadcastable to S) by one sphere rule: the directions +-1 with weight 1 for n = 2,
     ``quad_points`` equispaced circle directions with weight 2 pi/quad_points
@@ -290,15 +294,15 @@ def _check_boundary_data(y: np.ndarray, phi: np.ndarray, h: np.ndarray):
 
 
 _KERNEL_BLOCK = 1 << 16  # (point, sample) pairs per kernel evaluation block
+_MIN_XN = 1e-3  # lowest evaluation height, kept away from the kernel singularity
 
 
-def solve_by_kernel(A: MetricBlock, y, phi, h, points, quad_points: int = 256,
-                    min_xn: float = 1e-3) -> np.ndarray:
+def solve_by_kernel(A: MetricBlock, y, phi, h, points) -> np.ndarray:
     """Solve the half-plane problem by discrete kernel convolution.
 
     ``y`` is a uniform sample grid carrying the trace data ``phi`` and the
     scaled normal-derivative data ``h`` (either may be None); ``points`` is a
-    sequence of (x', x_n) evaluation points with x_n >= min_xn, kept away from
+    sequence of (x', x_n) evaluation points with x_n >= 1e-3, kept away from
     the kernel singularity.  Trapezoid weights reduce to dy because the data
     must vanish at the window edges.
     """
@@ -306,8 +310,8 @@ def solve_by_kernel(A: MetricBlock, y, phi, h, points, quad_points: int = 256,
         raise ValueError("kernel convolution is implemented for the half-plane")
     y, phi, h, dy = _check_boundary_data(y, phi, h)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if np.any(pts[:, 1] < min_xn):
-        raise ValueError(f"evaluation points need x_n >= {min_xn}")
+    if np.any(pts[:, 1] < _MIN_XN):
+        raise ValueError(f"evaluation points need x_n >= {_MIN_XN}")
     out = np.zeros(pts.shape[0])
     for which, data in (("K1", phi), ("K2", h)):
         cols = np.flatnonzero(data)  # only the columns the data reaches
@@ -319,7 +323,7 @@ def solve_by_kernel(A: MetricBlock, y, phi, h, points, quad_points: int = 256,
             block = pts[start:start + rows]
             offsets = (block[:, 0, None] - y[cols])[..., None]
             out[start:start + rows] += (
-                _kernel_values(A, which, offsets, block[:, 1, None], quad_points) @ data[cols])
+                _kernel_values(A, which, offsets, block[:, 1, None]) @ data[cols])
     return out * dy
 
 

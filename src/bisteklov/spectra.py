@@ -316,9 +316,6 @@ class Spectrum:
                 raise ValueError("eigenvalues must be strictly increasing")
             prev = e.value
 
-    def total_multiplicity(self) -> int:
-        return sum(e.mult for e in self.entries)
-
 
 def ball_spectrum_p1(n: int, m_max: int) -> Spectrum:
     """Problem-1 spectrum of the unit ball with unit weight: value n + 2m,

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -229,15 +230,20 @@ def test_halfspace_validation(capsys):
     (("halfspace", "--eta", "inf", "--levels", "1"), "eta must be finite"),
     (("symbol", "--eta", "nan", "--points", "2"), "eta must be finite"),
     (("halfspace", "--mode", "kernel", "--samples", "16", "--xn", "inf"), "xn must be finite"),
-    (("halfspace", "--epsilon", "nan"), "epsilon must be finite"),
+    (("symbol", "--epsilon", "nan"), "epsilon must be finite"),
     (("halfspace", "--h", "inf"), "h must be finite"),
     (("halfspace", "--h=-inf"), "h must be finite"),
-    (("weyl", "--xn=-inf"), "xn must be finite"),
+    (("halfspace", "--mode=kernel", "--xn=-inf"), "xn must be finite"),
     # finite flags whose covector norm overflows or underflows
     (("halfspace", "--eta", "1e200", "--levels", "1"), "double range"),
     (("halfspace", "--eta", "1e-200", "--levels", "1"), "double range"),
     (("symbol", "--eta", "1e300", "--points", "2"), "double range"),
     (("symbol", "--eta", "1e-200", "--points", "2"), "double range"),
+    # finite flags whose step overflows the solve or whose grid length overflows
+    (("halfspace", "--h", "1e300", "--levels", "2"), "integer multiple (>= 8) of h"),
+    (("halfspace", "--h", "1e160", "--levels", "1"), "integer multiple (>= 8) of h"),
+    (("halfspace", "--L", "1e300", "--h", "1e299", "--levels", "1"), "h * |xi'| <= 1"),
+    (("halfspace", "--L", "1.79e308", "--h", "1e307", "--levels", "1"), "finite L/h"),
 ])
 def test_non_finite_values_exit_2(capsys, argv, message):
     with np.errstate(over="ignore", under="ignore"):
@@ -300,7 +306,6 @@ _FLAGS = {
         "--samples": (st.integers(4, 48), _HOSTILE_INT),
         "--L": (st.floats(12.0, 40.0), _HOSTILE_FLOAT),
         "--xn": (st.floats(0.05, 4.0), _HOSTILE_FLOAT),
-        "--quad-points": (st.integers(4, 16), _HOSTILE_INT),
     },
     "symbol": {
         "--rho": (st.sampled_from(["1", "2+cos(t)", "1+0.5*sin(2*t)"]),
@@ -418,7 +423,7 @@ def test_config_file_errors(tmp_path, capsys):
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "typo.cfg"
-    for text in ("mmax = 3\n", "bogus = 1\n"):
+    for text in ("mmax = 3\n", "bogus = 1\n", "h = 0.1\n"):  # h: a halfspace key
         cfg.write_text(text)
         code, out, err = run_cli(capsys, "spectrum", "--config", str(cfg))
         assert code == 2 and out == "" and "unknown key" in err
@@ -427,7 +432,7 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
 # one value per setting, each different from its default
 _SAMPLES = {
     "problem": "harmonic", "n": "3", "m_max": "7", "rho": "2+cos(t)", "h": "0.125",
-    "L": "12.5", "panels": "5", "quad_points": "9", "eta": "0.75", "epsilon": "0.25",
+    "L": "12.5", "panels": "5", "eta": "0.75", "epsilon": "0.25",
     "levels": "3", "points": "5", "samples": "9", "xn": "0.5", "seed": "11",
     "mode": "kernel", "out": "table.csv",
 }
@@ -443,9 +448,40 @@ def _config(argv):
 def test_flag_and_config_key_give_the_same_configuration(tmp_path, field):
     path = tmp_path / "run.cfg"
     path.write_text(f"{field} = {_SAMPLES[field]}\n")
-    via_flag = _config(["symbol", "--" + field.replace("_", "-"), _SAMPLES[field]])
-    assert via_flag == _config(["symbol", "--config", str(path)])
-    assert via_flag[field] != _config(["symbol"])[field]
+    for command in cli._SETTINGS[field].commands:  # every (command, field) pair
+        via_flag = _config([command, "--" + field.replace("_", "-"), _SAMPLES[field]])
+        assert via_flag == _config([command, "--config", str(path)]), command
+        assert via_flag[field] != _config([command])[field], command
+
+
+def test_flags_a_command_does_not_read_exit_2(capsys):
+    argvs = [("identity-check", "--mode", "kernel", "--h", "5"),
+             ("identity-check", "--h", "5"),  # not taken as an abbreviation of --help
+             ("spectrum", "--eta", "2"), ("weyl", "--seed", "1"),
+             ("halfspace", "--sample", "16")]  # not taken as an abbreviation of --samples
+    flags = lambda fields: {"--" + field.replace("_", "-") for field in fields}
+    for command in cli._DISPATCH:  # every other command's flag, every abbreviation
+        own = flags(cli._settings_of(command)) | {"--config", "--help"}
+        prefixes = {flag[:i] for flag in own for i in range(3, len(flag))}
+        argvs += [(command, flag + "=1") for flag in sorted((flags(cli._SETTINGS) | prefixes) - own)]
+    for argv in argvs:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "unrecognized arguments" in err, argv
+
+
+def test_readme_flag_lists_match_the_parsers():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = {m[1]: set(re.findall(r"`(--[\w-]+)", m[2]))
+              for m in re.finditer(r"^\* `([\w-]+)`: (.*)$", readme, re.M)}
+    parser = cli._build_parser()
+    subparsers = next(a.choices for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert listed.keys() == subparsers.keys()
+    for command, sub in subparsers.items():
+        assert listed[command] == {"--" + f.replace("_", "-") for f in cli._settings_of(command)}
+        options = {option for action in sub._actions for option in action.option_strings}
+        assert options == listed[command] | {"--config", "-h", "--help"}
+    assert sum(map(len, listed.values())) == 31
 
 
 def test_readme_commands_run(tmp_path):

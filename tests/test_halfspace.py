@@ -190,7 +190,7 @@ def test_discrete_solution_matches_profile_at_second_order():
         h = 1.0 / (factor * k)
         steps = max(8, math.ceil((30.0 / k) / h))
         grid = HalfSpaceGrid(h, steps * h)
-        u = _solve_ode(A, k, grid, 1.0, 0.0)
+        u = _solve_ode(k, grid, 1.0, 0.0)
         exact = np.real(fourier_solution_p2(A, datum, grid.nodes))
         devs.append(float(np.max(np.abs(u - exact))))
     assert 3.0 < devs[0] / devs[1] < 5.0
@@ -216,7 +216,7 @@ def test_solution_satisfies_the_pentadiagonal_system(seed, scaled):
     h = 1.0 / (scaled * k)
     grid = HalfSpaceGrid(h, math.ceil(30.0 * scaled) * h)
     for bc_value, bc_slope in ((0.0, 1.0 / math.sqrt(A.a_nn)), (1.0, 0.0)):
-        u = _solve_ode(A, k, grid, bc_value, bc_slope)
+        u = _solve_ode(k, grid, bc_value, bc_slope)
         assert u.shape == (grid.n_steps + 1,)
         interior, boundary = _pentadiagonal_residuals(u, k, grid, bc_value, bc_slope)
         assert interior <= 1e-12 and boundary <= 1e-12
@@ -243,14 +243,14 @@ def test_solve_raises_on_non_finite_results(monkeypatch):
     grid = HalfSpaceGrid(1 / 64, 30.0)
     with np.errstate(invalid="ignore"):
         with pytest.raises(SolverError, match="non-finite"):
-            _solve_ode(A, 1.0, grid, float("inf"), 0.0)
+            _solve_ode(1.0, grid, float("inf"), 0.0)
         with pytest.raises(SolverError):
-            _solve_ode(A, float("nan"), grid, 1.0, 0.0)  # NaN passes the L * |xi'| guard
+            _solve_ode(float("nan"), grid, 1.0, 0.0)  # NaN passes the L * |xi'| guard
     from scipy.linalg import lapack
 
     monkeypatch.setattr(lapack, "dpttrs", lambda d, e, b: (b, -3))
     with pytest.raises(SolverError, match="LAPACK info -3"):
-        _solve_ode(A, 1.0, grid, 1.0, 0.0)
+        _solve_ode(1.0, grid, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
