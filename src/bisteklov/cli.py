@@ -19,12 +19,6 @@ import numpy as np
 from . import counting, halfspace, spectra, symbols
 from .spectra import ProblemKind
 
-_PROBLEMS = {
-    "p1": ProblemKind.NEUMANN_TRACE,
-    "p2": ProblemKind.DIRICHLET_TRACE,
-    "harmonic": ProblemKind.HARMONIC_STEKLOV,
-}
-
 
 # ---------------------------------------------------------------------------
 # weight expressions: constants, t/theta, +, -, *, cos, sin, parentheses
@@ -171,7 +165,7 @@ _ALL = ("spectrum", "weyl", "halfspace", "symbol", "identity-check")
 # and the filled argparse namespace is its run configuration.
 _SETTINGS = {
     "problem": _Setting(str, "p1", ("spectrum", "weyl", "halfspace", "symbol"),
-                        choices=tuple(sorted(_PROBLEMS))),
+                        choices=tuple(sorted(p.value for p in ProblemKind))),
     "n": _Setting(int, 2, _ALL, (lambda v: v >= 2, "n >= 2")),
     "m_max": _Setting(int, 10, ("spectrum", "weyl"), (lambda v: v >= 0, "m-max >= 0")),
     "rho": _Setting(str, "1", ("spectrum", "weyl", "symbol"),
@@ -246,7 +240,7 @@ def _build_config(cfg: argparse.Namespace) -> argparse.Namespace:
             raise ValueError(f"need {setting.bound[1]}")
         setattr(cfg, field, value)
     if "problem" in settings:
-        cfg.problem = _PROBLEMS[cfg.problem]
+        cfg.problem = ProblemKind(cfg.problem)
     return cfg
 
 
@@ -357,21 +351,17 @@ def _halfspace_bvp(cfg: argparse.Namespace) -> None:
         eta = rng.normal(size=cfg.n - 1)
         if not np.any(eta):
             eta[0] = 1.0
-        metric = symbols.BoundaryMetric.constant(block.a_tan)
     else:
-        metric = symbols.BoundaryMetric.identity(cfg.n - 1)
         block = halfspace.MetricBlock.identity(cfg.n)
         eta = np.zeros(cfg.n - 1)
         eta[0] = cfg.eta
     datum = halfspace.FourierDatum(eta)
-    if cfg.problem is ProblemKind.NEUMANN_TRACE:
-        target = symbols.symbol_F(metric, None, eta)
-        solver = halfspace.bvp_solve_p1
-    elif cfg.problem is ProblemKind.DIRICHLET_TRACE:
-        target = symbols.symbol_Theta(metric, None, eta)
-        solver = halfspace.bvp_solve_p2
-    else:
+    solver = {ProblemKind.NEUMANN_TRACE: halfspace.bvp_solve_p1,
+              ProblemKind.DIRICHLET_TRACE: halfspace.bvp_solve_p2}.get(cfg.problem)
+    if solver is None:
         raise ValueError("halfspace solvers exist for p1 and p2 only")
+    metric = symbols.BoundaryMetric.constant(block.a_tan)
+    target = symbols.principal_symbol(cfg.problem, metric)(None, eta)
 
     rate = halfspace.xi_norm(block, eta)
     rows, errors = [], []

@@ -1,8 +1,8 @@
 """Eigenvalue counting functions and their leading-order growth laws.
 
 The growth predictions are C_lead * tau^(n-1) with an explicit constant built
-from the unit-ball volume of the boundary cotangent fiber, a problem-dependent
-denominator base, and the integral of the boundary weight to the power n-1.
+from the unit-ball volume of the boundary cotangent fiber, a base read off the
+problem's principal symbol, and the integral of the boundary weight to the power n-1.
 The remainder study extracts the next coefficient from the scaled residual
 (count - prediction) / tau^(n-2).
 """
@@ -10,21 +10,24 @@ The remainder study extracts the next coefficient from the scaled residual
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from .spectra import ProblemKind, Spectrum
-from .symbols import HomogeneousSymbol
+from .symbols import HomogeneousSymbol, principal
 
 
 def unit_ball_volume(k: int) -> float:
     """Volume of the unit ball in k-space (1.0 for k = 0)."""
     if k < 0:
         raise ValueError("dimension must be nonnegative")
-    return math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
+    try:
+        return math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
+    except OverflowError:
+        raise ValueError(f"dimension {k} is too large: Gamma({k}/2 + 1) overflows") from None
 
 
 def sphere_area(n: int) -> float:
@@ -32,21 +35,19 @@ def sphere_area(n: int) -> float:
     return n * unit_ball_volume(n)
 
 
-_DENOMINATOR_BASE: dict[ProblemKind, float] = {
-    ProblemKind.NEUMANN_TRACE: 4.0 * math.pi,
-    ProblemKind.DIRICHLET_TRACE: 16.0 ** (1.0 / 3.0) * math.pi,
-    ProblemKind.HARMONIC_STEKLOV: 2.0 * math.pi,
-}
-
-
 def weyl_leading(problem: ProblemKind, n: int, boundary_integral: float) -> float:
-    """Leading counting coefficient: omega_{n-1} * integral / base^(n-1)."""
+    """Leading counting coefficient: omega_{n-1} * integral / (2 pi c^(1/d))^(n-1)
+    for the problem's principal symbol c * q^(d/2)."""
     if n < 2:
         raise ValueError("need n >= 2")
     if not boundary_integral > 0:
         raise ValueError("boundary integral must be positive")
-    base = _DENOMINATOR_BASE[problem]
-    return unit_ball_volume(n - 1) * boundary_integral / base ** (n - 1)
+    degree, coeff = principal(problem)
+    base = 2.0 * math.pi * coeff ** (1.0 / degree)
+    try:
+        return unit_ball_volume(n - 1) * boundary_integral / base ** (n - 1)
+    except OverflowError:
+        raise ValueError(f"n = {n} is too large: base^(n-1) overflows a double") from None
 
 
 @dataclass(frozen=True)
@@ -56,19 +57,17 @@ class WeylModel:
     problem: ProblemKind
     n: int
     boundary_integral: float
+    c_lead: float = field(init=False)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need n >= 2")
-        if not self.boundary_integral > 0:
-            raise ValueError("boundary integral must be positive")
-
-    @property
-    def c_lead(self) -> float:
-        return weyl_leading(self.problem, self.n, self.boundary_integral)
+        object.__setattr__(self, "c_lead",
+                           weyl_leading(self.problem, self.n, self.boundary_integral))
 
     def predicted(self, tau: float) -> float:
-        return self.c_lead * tau ** (self.n - 1)
+        try:
+            return self.c_lead * tau ** (self.n - 1)
+        except OverflowError:
+            raise ValueError(f"n = {self.n} is too large: tau^(n-1) overflows a double") from None
 
 
 @dataclass(frozen=True)
@@ -337,6 +336,9 @@ def gamma_identity_check(n: int) -> float:
     the counting constant omega_(n-1) * n * omega_n / (4 pi)^(n-1)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    lhs = 1.0 / (2.0 ** (n - 2) * math.factorial(n - 1))
+    try:
+        lhs = 1.0 / (2.0 ** (n - 2) * math.factorial(n - 1))
+    except OverflowError:
+        raise ValueError(f"n = {n} is too large: (n-1)! overflows a double") from None
     rhs = unit_ball_volume(n - 1) * n * unit_ball_volume(n) / (4.0 * math.pi) ** (n - 1)
     return abs(lhs - rhs)

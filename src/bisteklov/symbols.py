@@ -104,22 +104,43 @@ def ellipsoidal_symbol(degree: float, coeff: Callable[[Any], float],
 # the explicit symbols
 # ---------------------------------------------------------------------------
 
-def symbol_F(metric: BoundaryMetric, x, eta) -> float:
-    """Degree-1 symbol of the trace-zero boundary map: twice the metric norm."""
-    return 2.0 * quadratic_form(metric, x, eta) ** 0.5
+# The principal symbol of each problem's eigenvalue operator under the weight
+# rho is coeff * q(eta')^(degree/2) / rho^degree: (degree, coeff) per problem.
+_PRINCIPAL = {
+    ProblemKind.NEUMANN_TRACE: (1.0, 2.0),
+    ProblemKind.DIRICHLET_TRACE: (3.0, 2.0),
+    ProblemKind.HARMONIC_STEKLOV: (1.0, 1.0),
+}
 
 
-def symbol_Theta(metric: BoundaryMetric, x, eta) -> float:
-    """Degree-3 symbol of the flux map: twice the metric norm cubed."""
-    return 2.0 * quadratic_form(metric, x, eta) ** 1.5
+def principal(problem: ProblemKind) -> tuple[float, float]:
+    """(degree, coeff) of the problem's principal symbol; ValueError for an unknown problem."""
+    return _PRINCIPAL[ProblemKind(problem)]
+
+
+def principal_symbol(problem: ProblemKind, metric: BoundaryMetric,
+                     label: str = "") -> HomogeneousSymbol:
+    """The problem's unweighted principal symbol coeff * q^(degree/2)."""
+    degree, coeff = principal(problem)
+    return ellipsoidal_symbol(degree, lambda x: coeff, metric, label)
 
 
 def f_symbol(metric: BoundaryMetric) -> HomogeneousSymbol:
-    return ellipsoidal_symbol(1.0, lambda x: 2.0, metric, "F")
+    """Degree-1 symbol of the trace-zero boundary map: twice the metric norm."""
+    return principal_symbol(ProblemKind.NEUMANN_TRACE, metric, "F")
 
 
 def theta_symbol(metric: BoundaryMetric) -> HomogeneousSymbol:
-    return ellipsoidal_symbol(3.0, lambda x: 2.0, metric, "Theta")
+    """Degree-3 symbol of the flux map: twice the metric norm cubed."""
+    return principal_symbol(ProblemKind.DIRICHLET_TRACE, metric, "Theta")
+
+
+def symbol_F(metric: BoundaryMetric, x, eta) -> float:
+    return f_symbol(metric)(x, eta)
+
+
+def symbol_Theta(metric: BoundaryMetric, x, eta) -> float:
+    return theta_symbol(metric)(x, eta)
 
 
 def symbol_compose(a: HomogeneousSymbol, b: HomogeneousSymbol) -> HomogeneousSymbol:
@@ -137,31 +158,16 @@ def reciprocal_weight_symbol(weight: "BoundaryWeight") -> HomogeneousSymbol:
 
 def symbol_steklov(problem: ProblemKind, metric: BoundaryMetric,
                    weight: "BoundaryWeight", x, eta) -> float:
-    """Principal symbol of the weighted eigenvalue operator at (x', eta').
-
-    Values are formed as products with the reciprocal weight so they bit-match
-    compositions with the reciprocal symbol.
-    """
+    """Principal symbol of the weighted eigenvalue operator at (x', eta')."""
+    degree, coeff = principal(problem)
     inv = 1.0 / weight.rho_plus_eps(x)
-    if problem is ProblemKind.NEUMANN_TRACE:
-        return symbol_F(metric, x, eta) * inv
-    if problem is ProblemKind.DIRICHLET_TRACE:
-        return symbol_Theta(metric, x, eta) * (inv * inv * inv)
-    if problem is ProblemKind.HARMONIC_STEKLOV:
-        return quadratic_form(metric, x, eta) ** 0.5 * inv
-    raise ValueError(f"unknown problem kind {problem!r}")
+    # the degree factors 1/rho multiply the unweighted value left to right: this order keeps
+    # acceptance criterion 11 and the `symbol` golden CSV bit-exact
+    return coeff * quadratic_form(metric, x, eta) ** (degree / 2.0) * math.prod([inv] * int(degree))
 
 
 def steklov_symbol(problem: ProblemKind, metric: BoundaryMetric,
                    weight: "BoundaryWeight") -> HomogeneousSymbol:
     """The weighted eigenvalue symbol as an ellipsoidal-family object."""
-    if problem is ProblemKind.NEUMANN_TRACE:
-        return ellipsoidal_symbol(1.0, lambda x: 2.0 / weight.rho_plus_eps(x),
-                                  metric, "Q")
-    if problem is ProblemKind.DIRICHLET_TRACE:
-        return ellipsoidal_symbol(3.0, lambda x: 2.0 / weight.rho_plus_eps(x) ** 3,
-                                  metric, "R")
-    if problem is ProblemKind.HARMONIC_STEKLOV:
-        return ellipsoidal_symbol(1.0, lambda x: 1.0 / weight.rho_plus_eps(x),
-                                  metric, "N")
-    raise ValueError(f"unknown problem kind {problem!r}")
+    degree, coeff = principal(problem)
+    return ellipsoidal_symbol(degree, lambda x: coeff / weight.rho_plus_eps(x) ** degree, metric)

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import gzip
 import io
 import math
 import os
@@ -251,6 +252,18 @@ def test_non_finite_values_exit_2(capsys, argv, message):
     assert code == 2 and out == "" and message in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("identity-check --n 172", "n = 172 is too large: (n-1)!"),
+    ("weyl --problem p1 --n 300 --m-max 30", "n = 300 is too large: base^(n-1)"),
+    ("weyl --problem p1 --n 100 --m-max 1000", "n = 100 is too large: tau^(n-1)"),
+    ("symbol --n 282 --points 1", "n = 282 is too large: base^(n-1)"),
+    ("symbol --problem p2 --n 343 --points 1", "dimension 342 is too large: Gamma(342/2 + 1)"),
+])
+def test_dimensions_past_double_range_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and out == "" and message in err
+
+
 def test_levels_are_bounded(capsys):
     for levels in ("33", "1100"):
         code, out, err = run_cli(capsys, "halfspace", "--levels", levels)
@@ -290,10 +303,19 @@ def test_halfspace_numerical_failure_maps_to_exit_3(capsys, monkeypatch):
 
 _HOSTILE_FLOAT = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e-3, 1e-3])
 _HOSTILE_INT = st.sampled_from([-1, 0, 1])
+# dimensions past the double range of (n-1)!, base^(n-1) and tau^(n-1)
+_HOSTILE_N = st.sampled_from([-1, 0, 1, 172, 300])
+_COUNTING_FLAGS = {
+    "--problem": (st.sampled_from(["p1", "p2", "harmonic"]), st.just("p9")),
+    "--n": (st.integers(2, 5), _HOSTILE_N),
+    "--m-max": (st.integers(0, 2000), st.just(-1)),
+    "--rho": (st.sampled_from(["1", "2.5", "0.5"]), st.text()),
+}
 
-# flag: (valid values, hostile values); no draw makes a grid of more than 40 * 1000 unknowns
+# command line before the flags: {flag: (valid values, hostile values)}; no draw
+# makes a grid of more than 40 * 1000 unknowns or a spectrum past m = 2000
 _FLAGS = {
-    "bvp": {
+    ("halfspace", "--mode=bvp"): {
         "--h": (st.floats(1 / 256, 0.5), _HOSTILE_FLOAT),
         "--L": (st.floats(20.0, 40.0), _HOSTILE_FLOAT),
         "--levels": (st.integers(1, 3), _HOSTILE_INT),
@@ -302,14 +324,14 @@ _FLAGS = {
         "--problem": (st.sampled_from(["p1", "p2"]), st.just("harmonic")),
         "--n": (st.integers(2, 3), _HOSTILE_INT),
     },
-    "kernel": {
+    ("halfspace", "--mode=kernel"): {
         "--samples": (st.integers(4, 48), _HOSTILE_INT),
         "--L": (st.floats(12.0, 40.0), _HOSTILE_FLOAT),
         "--xn": (st.floats(0.05, 4.0), _HOSTILE_FLOAT),
     },
-    "symbol": {
+    ("symbol",): {
         "--rho": (st.sampled_from(["1", "2+cos(t)", "1+0.5*sin(2*t)"]),
-                  st.sampled_from(["cos(t)", "-1"])),
+                  st.sampled_from(["cos(t)", "-1"]) | st.text()),
         "--eta": (st.floats(0.1, 4.0), _HOSTILE_FLOAT),
         "--epsilon": (st.floats(0.0, 1.0), _HOSTILE_FLOAT),
         "--points": (st.integers(1, 8), _HOSTILE_INT),
@@ -317,6 +339,9 @@ _FLAGS = {
         "--problem": (st.sampled_from(["p1", "p2", "harmonic"]), st.just("p3")),
         "--n": (st.integers(2, 3), _HOSTILE_INT),
     },
+    ("spectrum",): _COUNTING_FLAGS,
+    ("weyl",): _COUNTING_FLAGS,
+    ("identity-check",): {"--n": (st.integers(2, 171), _HOSTILE_N)},
 }
 
 
@@ -326,7 +351,7 @@ def _argv(draw):
     # hostile value, which then gets past validation of the others into the
     # computation; --flag=value lets argparse take "-inf" and "-1" as values
     command = draw(st.sampled_from(sorted(_FLAGS)))
-    argv = ["symbol"] if command == "symbol" else ["halfspace", f"--mode={command}"]
+    argv = list(command)
     for flag, (valid, hostile) in _FLAGS[command].items():
         kind = draw(st.sampled_from(["absent", "valid", "valid", "hostile"]))
         if kind != "absent":
@@ -492,6 +517,24 @@ def test_readme_commands_run(tmp_path):
     assert len(commands) >= 12
     for argv in commands:
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0, argv
+
+
+@pytest.mark.parametrize("golden, line", [
+    ("spectrum", "spectrum --problem p1 --n 3 --m-max 10"),
+    ("weyl", "weyl --problem p2 --m-max 10000 --out flux_counts.csv"),
+    ("symbol", 'symbol --problem p1 --rho "2+cos(t)" --points 72'),
+    ("identity_check", "identity-check --n 12"),
+])
+def test_readme_output_is_byte_identical_to_the_golden(tmp_path, monkeypatch, capsys,
+                                                       golden, line):
+    # the benchmark's golden CSVs, read only; they match these commands byte for byte
+    root = Path(__file__).resolve().parents[1]
+    assert f"bisteklov {line}\n" in (root / "README.md").read_text(encoding="utf-8")
+    monkeypatch.chdir(tmp_path)  # where --out flux_counts.csv lands
+    code, out, _ = run_cli(capsys, *shlex.split(line))
+    data = (tmp_path / "flux_counts.csv").read_bytes() if "--out" in line else out.encode()
+    expected = gzip.decompress((root / "perfbench" / "golden" / f"{golden}.csv.gz").read_bytes())
+    assert code == 0 and data == expected
 
 
 def test_module_entrypoint_runs():

@@ -133,6 +133,23 @@ def test_weyl_leading_rejects_bad_input():
         weyl_leading(P1, 1, 1.0)
 
 
+def test_weyl_leading_is_the_phase_volume_of_the_principal_symbol():
+    # Hormander: C_lead = integral over the boundary of the fiber volume of
+    # {symbol < 1}, divided by (2 pi)^(n-1)
+    for problem in (P1, P2, HARM):
+        for n in range(2, 8):
+            symbol = steklov_symbol(problem, BoundaryMetric.identity(n - 1), unit_circle_weight())
+            expected = hormander_phase_volume(symbol, 0.0) * 3.5 / (2 * math.pi) ** (n - 1)
+            assert weyl_leading(problem, n, 3.5) == pytest.approx(expected, rel=1e-14)
+
+
+def test_weyl_leading_bases_are_bit_exact():
+    for problem, base in ((P1, 4.0 * math.pi), (P2, 16.0 ** (1.0 / 3.0) * math.pi),
+                          (HARM, 2.0 * math.pi)):
+        for n in (2, 3, 7):
+            assert weyl_leading(problem, n, 3.5) == unit_ball_volume(n - 1) * 3.5 / base ** (n - 1)
+
+
 def test_weyl_model_invariant():
     model = WeylModel(P2, 3, 5.0)
     expected = unit_ball_volume(2) * 5.0 / (16 ** (1 / 3) * math.pi) ** 2
