@@ -189,8 +189,10 @@ _SETTINGS = {
 # the growth-law study needs enough eigenvalues for a decade-wide fit
 _COMMAND_DEFAULTS = {"weyl": {"m_max": 200}}
 
-# steps of the finest finite-difference grid: a solve holds about 96 bytes a
-# step (tracemalloc peak 96 MiB at 2**20 steps), so at most about 400 MiB
+# steps of the finest finite-difference grid.  The closed-form solve costs the
+# same at any L/h, but HalfSpaceGrid checks that L is a multiple of h to 1e-9,
+# and the rounding error of L/h, about 2.2e-16 * L/h, reaches that near 2**22
+# steps: from 2**23 steps on about one grid in nine fails the check
 _MAX_STEPS = 2 ** 22
 
 
@@ -320,8 +322,11 @@ def cmd_weyl(cfg: argparse.Namespace) -> None:
     """Counting function vs its growth law, with sharpness summary."""
     c = _constant_rho(cfg)
     spec = _scaled_spectrum(cfg, c)
-    model = counting.WeylModel(cfg.problem, cfg.n,
-                               c ** (cfg.n - 1) * counting.sphere_area(cfg.n))
+    try:  # the boundary integral of the constant weight
+        integral = c ** (cfg.n - 1) * counting.sphere_area(cfg.n)
+    except OverflowError:
+        raise ValueError(f"weight {c:.6g} is too large: rho^(n-1) overflows a double") from None
+    model = counting.WeylModel(cfg.problem, cfg.n, integral)
     rows, cumulative, samples = [], 0, []
     for entry in spec.entries:
         cumulative += entry.mult

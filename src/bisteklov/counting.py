@@ -40,8 +40,8 @@ def weyl_leading(problem: ProblemKind, n: int, boundary_integral: float) -> floa
     for the problem's principal symbol c * q^(d/2)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if not boundary_integral > 0:
-        raise ValueError("boundary integral must be positive")
+    if not 0 < boundary_integral < math.inf:
+        raise ValueError("boundary integral must be positive and finite")
     degree, coeff = principal(problem)
     base = 2.0 * math.pi * coeff ** (1.0 / degree)
     try:
@@ -188,29 +188,32 @@ def boundary_integral(weight: BoundaryWeight, n: int, panels: int) -> float:
         pts, wts = [], []
         for p in range(panels):
             mid = a + (p + 0.5) * width
-            pts.extend(mid + 0.5 * width * nodes)
-            wts.extend(0.5 * width * weights)
-        return np.asarray(pts), np.asarray(wts)
+            pts.extend((mid + 0.5 * width * nodes).tolist())
+            wts.extend((0.5 * width * weights).tolist())
+        return pts, wts  # Python floats: a sum past the double range is inf, not a warning
 
-    if len(weight.domain) == 1:
-        pts, wts = axis_points(*weight.domain[0])
-        total = 0.0
-        for t, w in zip(pts, wts):
-            r = weight.rho(t)
-            if r < 0:
-                raise ValueError(f"negative weight sample at t={t}")
-            total += w * r ** (n - 1) * weight.area_element(t)
-        return total
-
-    pts1, wts1 = axis_points(*weight.domain[0])
-    pts2, wts2 = axis_points(*weight.domain[1])
     total = 0.0
-    for t1, w1 in zip(pts1, wts1):
-        for t2, w2 in zip(pts2, wts2):
-            r = weight.rho(t1, t2)
-            if r < 0:
-                raise ValueError(f"negative weight sample at ({t1}, {t2})")
-            total += w1 * w2 * r ** (n - 1) * weight.area_element(t1, t2)
+    try:  # r ** (n - 1) raises OverflowError past the double range
+        if len(weight.domain) == 1:
+            pts, wts = axis_points(*weight.domain[0])
+            for t, w in zip(pts, wts):
+                r = weight.rho(t)
+                if r < 0:
+                    raise ValueError(f"negative weight sample at t={t}")
+                total += w * r ** (n - 1) * weight.area_element(t)
+        else:
+            pts1, wts1 = axis_points(*weight.domain[0])
+            pts2, wts2 = axis_points(*weight.domain[1])
+            for t1, w1 in zip(pts1, wts1):
+                for t2, w2 in zip(pts2, wts2):
+                    r = weight.rho(t1, t2)
+                    if r < 0:
+                        raise ValueError(f"negative weight sample at ({t1}, {t2})")
+                    total += w1 * w2 * r ** (n - 1) * weight.area_element(t1, t2)
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        raise ValueError("weight too large: the integral of rho^(n-1) overflows a double")
     return total
 
 
@@ -282,7 +285,14 @@ def hormander_phase_volume(symbol: HomogeneousSymbol, x) -> float:
     _require_ellipsoidal(symbol)
     _homogeneity_probe(symbol, x)
     dim = symbol.metric.dim
-    return unit_ball_volume(dim) * symbol.coeff(x) ** (-dim / symbol.degree)
+    try:
+        volume = unit_ball_volume(dim) * symbol.coeff(x) ** (-dim / symbol.degree)
+    except OverflowError:
+        volume = math.inf
+    if volume == math.inf:
+        raise ValueError(f"weight too large: the phase volume c^(-{dim}/{symbol.degree:g}) "
+                         "overflows a double")
+    return volume
 
 
 # ---------------------------------------------------------------------------

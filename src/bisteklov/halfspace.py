@@ -1,10 +1,10 @@
 """Constant-coefficient biharmonic model problems on the half-space.
 
 Three independent routes to the same boundary maps live here: exact
-Fourier-side profiles in the normal variable, a finite-difference solver for
-the fourth-order two-point problem that recovers the boundary symbols
-numerically (a factored tridiagonal influence-matrix solve in plain double
-precision), and the explicit sphere-integral kernels evaluated by
+Fourier-side profiles in the normal variable, the exact solution of the
+finite-difference two-point problem at the few nodes the symbol readouts need
+(the closed-form discrete Green's function of a tridiagonal Toeplitz matrix,
+Hu & O'Connell 1996), and the explicit sphere-integral kernels evaluated by
 quadrature.  Tests play the routes against one another.
 """
 
@@ -123,60 +123,61 @@ def fourier_solution_p2(A: MetricBlock, datum: FourierDatum, x_n):
 # finite-difference recovery of the boundary symbols
 # ---------------------------------------------------------------------------
 
-def _solve_ode(k: float, grid: HalfSpaceGrid, bc_value: float, bc_slope: float) -> np.ndarray:
-    """Solve the discretized (d^2/dx^2 - k^2)^2 u = 0 on [0, L].
+def _solve_ode(k: float, grid: HalfSpaceGrid, bc_value: float, bc_slope: float,
+               nodes) -> tuple[np.ndarray, np.ndarray]:
+    """Exact solution of the discretized (d^2/dx^2 - k^2)^2 u = 0 on [0, L] at ``nodes``.
 
     Boundary rows: u(0) = bc_value, one-sided second-order u'(0) = bc_slope,
     far field u(L) = u'(L) = 0.  Interior rows use the five-point stencil of
     the squared operator scaled by h^4, [1, -4-2s, 6+4s+s^2, -4-2s, 1] with
-    s = (k h)^2, which is T^2 for the SPD tridiagonal T = tridiag(-1, 2+s, -1)
-    on the nodes 1 .. n-1.  So v = T u solves T v = a e_1 + b e_{n-1}, and
-    u = T^-1 (bc_value e_1 + v) follows from two solves with one factorization
-    of T; the 2x2 influence (capacitance) system of the two slope rows gives
-    a and b (Glowinski & Pironneau 1979, Kleiser & Schumann 1980).  Plain
-    double precision throughout.
+    s = (k h)^2: T^2 for T = tridiag(-1, 2+s, -1) on the nodes 1 .. n-1.  So
+    v = T u - bc_value e_1 solves T v = a e_1 + b e_{n-1}, u = T^-1 (bc_value e_1 + v),
+    and the 2x2 influence (capacitance) system of the two slope rows gives a
+    and b (Glowinski & Pironneau 1979, Kleiser & Schumann 1980).  T^-1 and T^-2
+    are the closed-form discrete Green's function of the Toeplitz matrix T
+    (Hu & O'Connell, J. Phys. A 29 (1996) 1511), so only the requested nodes
+    are evaluated, and neither work nor memory grows with L/h.
+
+    Returns u and v = a T^-1 e_1 + b T^-1 e_{n-1} at ``nodes``.  Row i of v is
+    -u_{i-1} + (2+s) u_i - u_{i+1}, about -h^2 (u'' - k^2 u)(x_i); at nodes 0
+    and n the formulas give u = bc_value, 0 and v = a, b.
     """
     if grid.L * k < 20.0:
         raise AdequacyError(f"need L * |xi'| >= 20, got {grid.L * k:.3f}")
     # at h * |xi'| = 1 the p1 symbol is 26 % off already, and a far coarser
-    # step overflows expm1(theta) below
+    # step overflows sinh(theta) below
     if grid.h * k > 1.0:
         raise AdequacyError(f"need h * |xi'| <= 1, got {grid.h * k:.3g}")
-    h = grid.h
-    n = grid.n_steps
-    # T = L D L^T with the closed-form pivots d_i = sinh((i+1) theta) / sinh(i theta),
-    # 2 cosh(theta) = 2 + s.  The recurrence d_i = 2 + s - 1/d_{i-1} (LAPACK dpttrf)
-    # passes a rounding error of order eps in s from row to row, which moves the p1
-    # symbol by 4e-10 at k h = 1/32768.
-    theta = 2.0 * math.asinh(0.5 * k * h)
-    i = np.arange(1, n)
-    d = 1.0 + math.expm1(theta) * (1.0 + np.exp(-(2 * i + 1) * theta)) / -np.expm1(-2 * theta * i)
-    sub = -1.0 / d[:-1]  # the subdiagonal of L
+    h, n = grid.h, grid.n_steps
+    theta = 2.0 * math.asinh(0.5 * k * h)  # from k h, without rounding 2 + s
 
-    from scipy.linalg import lapack  # deferred: only this solve needs scipy, slow to import
-
-    unit = np.zeros((n - 1, 2), order="F")
-    unit[0, 0] = unit[-1, 1] = 1.0
-    w, info_w = lapack.dpttrs(d, sub, unit)  # T^-1 [e_1, e_{n-1}]: the basis of v
-    z, info_z = lapack.dpttrs(d, sub, w)  # T^-2 [e_1, e_{n-1}]: its u responses
-    if info_w or info_z:
-        raise SolverError(f"tridiagonal solve failed: LAPACK info {info_w or info_z}")
-    particular = bc_value * w[:, 0]
+    def green(i):
+        # S_j = sinh(j theta): T^-1 e_1 = S_{n-i} / S_n, T^-2 e_1 = [i cosh(n theta) S_{n-i}
+        # - (n-i) S_i] / (2 sinh(theta) S_n^2) at the nodes i, each exp(n theta) power
+        # divided out: no exponent is positive, so nothing overflows, and for
+        # n theta >= 20 nothing cancels; T^-k e_{n-1} at node i is T^-k e_1 at n - i
+        i = np.asarray(i, dtype=float)
+        scale = -np.expm1(-2.0 * n * theta)  # 2 exp(-n theta) S_n
+        near, decay = -np.expm1(-2.0 * (n - i) * theta), np.exp(-i * theta)
+        second = (i * decay * (2.0 - scale) * near
+                  + 2.0 * (n - i) * np.exp((i - 2.0 * n) * theta) * np.expm1(-2.0 * i * theta))
+        return decay * near / scale, second / (2.0 * math.sinh(theta) * scale * scale)
 
     # slope rows on u_1, u_2 and u_{n-2}, u_{n-1}: 4 u_1 - u_2 = 2 h bc_slope + 3 bc_value,
     # u_{n-2} - 4 u_{n-1} = 0 (u_n = 0)
-    ends, slope = [0, 1, -2, -1], np.array([[4.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -4.0]])
-    rhs = np.array([2.0 * h * bc_slope + 3.0 * bc_value, 0.0]) - slope @ particular[ends]
+    ends, slope = np.array([1, 2, n - 2, n - 1]), np.array([[4.0, -1, 0, 0], [0, 0, 1, -4]])
+    first, second = green(ends)
+    rhs = np.array([2.0 * h * bc_slope + 3.0 * bc_value, 0.0]) - slope @ (bc_value * first)
     try:
-        a_b = np.linalg.solve(slope @ z[ends], rhs)
+        a, b = np.linalg.solve(slope @ np.column_stack([second, green(n - ends)[1]]), rhs)
     except np.linalg.LinAlgError:
         raise SolverError("singular influence matrix") from None
-    u = np.zeros(n + 1)
-    u[0] = bc_value
-    u[1:n] = particular + z @ a_b
-    if not np.all(np.isfinite(u)):
-        raise SolverError("tridiagonal solve produced non-finite values")
-    return u
+    (first, second), (mirror, mirror_second) = green(nodes), green(n - np.asarray(nodes))
+    u = bc_value * first + a * second + b * mirror_second
+    v = a * first + b * mirror
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        raise SolverError("closed-form solve produced non-finite values")
+    return u, v
 
 
 def bvp_solve_p1(A: MetricBlock, datum: FourierDatum, grid: HalfSpaceGrid) -> float:
@@ -189,9 +190,8 @@ def bvp_solve_p1(A: MetricBlock, datum: FourierDatum, grid: HalfSpaceGrid) -> fl
     at O(h^2) to twice the tangential metric norm of the covector.
     """
     k = xi_norm(A, datum.eta)
-    u = _solve_ode(k, grid, 0.0, 1.0 / math.sqrt(A.a_nn))
-    h = grid.h
-    upp0 = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / h**2
+    u, _ = _solve_ode(k, grid, 0.0, 1.0 / math.sqrt(A.a_nn), np.arange(4))
+    upp0 = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / grid.h**2
     return -(A.a_nn * upp0 - A.a_nn * k * k * u[0])
 
 
@@ -199,17 +199,15 @@ def bvp_solve_p2(A: MetricBlock, datum: FourierDatum, grid: HalfSpaceGrid) -> fl
     """Numerically recover the flux boundary symbol.
 
     Solves with u(0) = amplitude and u'(0) = 0, then returns
-    sqrt(a_nn) (a_nn u'''(0) - a_nn |xi'|^2 u'(0)) / amplitude using one-sided
-    second-order stencils; converges to twice the tangential metric norm cubed
-    (the boundary third-derivative stencil costs one order, absorbed in the
-    tolerance).
+    sqrt(a_nn) (a_nn u'''(0) - a_nn |xi'|^2 u'(0)) / amplitude, which is
+    a_nn^(3/2) (u'' - |xi'|^2 u)'(0): the one-sided cubic derivative at the
+    wall of -v / h^2 on the nodes 1 .. 4, with v from the solve.  Converges at
+    O(h^2) to twice the tangential metric norm cubed.
     """
     k = xi_norm(A, datum.eta)
-    u = _solve_ode(k, grid, 1.0, 0.0)
-    h = grid.h
-    up0 = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
-    uppp0 = (-2.5 * u[0] + 9.0 * u[1] - 12.0 * u[2] + 7.0 * u[3] - 1.5 * u[4]) / h**3
-    return math.sqrt(A.a_nn) * (A.a_nn * uppp0 - A.a_nn * k * k * up0)
+    _, v = _solve_ode(k, grid, 1.0, 0.0, np.arange(1, 5))
+    flux = np.array([-26.0 / 6.0, 19.0 / 2.0, -7.0, 11.0 / 6.0]) @ (-v / grid.h**2) / grid.h
+    return A.a_nn ** 1.5 * float(flux)
 
 
 # ---------------------------------------------------------------------------

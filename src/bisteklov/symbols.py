@@ -170,4 +170,14 @@ def steklov_symbol(problem: ProblemKind, metric: BoundaryMetric,
                    weight: "BoundaryWeight") -> HomogeneousSymbol:
     """The weighted eigenvalue symbol as an ellipsoidal-family object."""
     degree, coeff = principal(problem)
-    return ellipsoidal_symbol(degree, lambda x: coeff / weight.rho_plus_eps(x) ** degree, metric)
+
+    def weighted(x):
+        try:
+            c = coeff / weight.rho_plus_eps(x) ** degree
+        except (OverflowError, ZeroDivisionError):  # rho^degree past or below the double range
+            c = 0.0
+        if not 0.0 < c < math.inf:
+            raise ValueError(f"weight out of range: {coeff:g} / rho^{degree:g} leaves the double range")
+        return c
+
+    return ellipsoidal_symbol(degree, weighted, metric)

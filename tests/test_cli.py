@@ -264,6 +264,20 @@ def test_dimensions_past_double_range_exit_2(capsys, argv, message):
     assert code == 2 and out == "" and message in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("symbol --problem p1 --n 100 --rho 1e5 --points 2", "phase volume c^(-99/1) overflows"),
+    ("symbol --problem p2 --rho 1e300 --points 2", "2 / rho^3 leaves the double range"),
+    ("symbol --problem p2 --rho 1e-120 --points 2", "2 / rho^3 leaves the double range"),
+    ("symbol --problem p1 --rho 1e-320 --points 2", "2 / rho^1 leaves the double range"),
+    ("symbol --problem p1 --rho 1e308 --points 2", "integral of rho^(n-1) overflows"),
+    ("weyl --problem p1 --n 40 --m-max 64 --rho 1e10", "weight 1e+10 is too large: rho^(n-1)"),
+    ("weyl --problem p1 --m-max 64 --rho 1.7e308", "boundary integral must be positive and finite"),
+])
+def test_weights_past_double_range_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and out == "" and message in err
+
+
 def test_levels_are_bounded(capsys):
     for levels in ("33", "1100"):
         code, out, err = run_cli(capsys, "halfspace", "--levels", levels)
@@ -305,11 +319,13 @@ _HOSTILE_FLOAT = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0
 _HOSTILE_INT = st.sampled_from([-1, 0, 1])
 # dimensions past the double range of (n-1)!, base^(n-1) and tau^(n-1)
 _HOSTILE_N = st.sampled_from([-1, 0, 1, 172, 300])
+# constant weights whose powers leave the double range in the counting constants
+_LARGE_WEIGHT = st.sampled_from(["1e5", "1e10", "1e300"])
 _COUNTING_FLAGS = {
     "--problem": (st.sampled_from(["p1", "p2", "harmonic"]), st.just("p9")),
     "--n": (st.integers(2, 5), _HOSTILE_N),
     "--m-max": (st.integers(0, 2000), st.just(-1)),
-    "--rho": (st.sampled_from(["1", "2.5", "0.5"]), st.text()),
+    "--rho": (st.sampled_from(["1", "2.5", "0.5"]) | _LARGE_WEIGHT, st.text()),
 }
 
 # command line before the flags: {flag: (valid values, hostile values)}; no draw
@@ -330,7 +346,7 @@ _FLAGS = {
         "--xn": (st.floats(0.05, 4.0), _HOSTILE_FLOAT),
     },
     ("symbol",): {
-        "--rho": (st.sampled_from(["1", "2+cos(t)", "1+0.5*sin(2*t)"]),
+        "--rho": (st.sampled_from(["1", "2+cos(t)", "1+0.5*sin(2*t)"]) | _LARGE_WEIGHT,
                   st.sampled_from(["cos(t)", "-1"]) | st.text()),
         "--eta": (st.floats(0.1, 4.0), _HOSTILE_FLOAT),
         "--epsilon": (st.floats(0.0, 1.0), _HOSTILE_FLOAT),
@@ -565,6 +581,16 @@ def _fresh_python(code):
 
 def test_import_does_not_load_scipy():
     assert _fresh_python("import sys, bisteklov; print('scipy' in sys.modules)") == "False"
+
+
+def test_fd_ladder_does_not_load_scipy():
+    out = _fresh_python(
+        "import os, sys\n"
+        "from bisteklov.cli import main\n"
+        "code = main(['halfspace', '--problem', 'p1', '--h', '0.001953125', '--levels', '4',\n"
+        "             '--out', os.devnull])\n"
+        "print(code, 'scipy' in sys.modules)")
+    assert out == "0 False"
 
 
 def test_kernel_mode_does_not_load_scipy():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -190,7 +191,7 @@ def test_discrete_solution_matches_profile_at_second_order():
         h = 1.0 / (factor * k)
         steps = max(8, math.ceil((30.0 / k) / h))
         grid = HalfSpaceGrid(h, steps * h)
-        u = _solve_ode(k, grid, 1.0, 0.0)
+        u = _solve_ode(k, grid, 1.0, 0.0, np.arange(grid.n_steps + 1))[0]
         exact = np.real(fourier_solution_p2(A, datum, grid.nodes))
         devs.append(float(np.max(np.abs(u - exact))))
     assert 3.0 < devs[0] / devs[1] < 5.0
@@ -216,7 +217,7 @@ def test_solution_satisfies_the_pentadiagonal_system(seed, scaled):
     h = 1.0 / (scaled * k)
     grid = HalfSpaceGrid(h, math.ceil(30.0 * scaled) * h)
     for bc_value, bc_slope in ((0.0, 1.0 / math.sqrt(A.a_nn)), (1.0, 0.0)):
-        u = _solve_ode(k, grid, bc_value, bc_slope)
+        u = _solve_ode(k, grid, bc_value, bc_slope, np.arange(grid.n_steps + 1))[0]
         assert u.shape == (grid.n_steps + 1,)
         interior, boundary = _pentadiagonal_residuals(u, k, grid, bc_value, bc_slope)
         assert interior <= 1e-12 and boundary <= 1e-12
@@ -238,19 +239,70 @@ def test_p1_error_falls_monotonically_to_h_65536(block):
     assert all(a > b for a, b in zip(errors, errors[1:]))
 
 
-def test_solve_raises_on_non_finite_results(monkeypatch):
+@pytest.mark.parametrize("block", ["identity", "seeded"])
+def test_p2_error_falls_monotonically_to_h_65536(block):
+    # read from v: the h^-3 wall stencil on u gave 8.6e-4 at 1/11585 and 0.0625 at 1/65536
+    A, eta = (MetricBlock.identity(2), np.array([1.0])) if block == "identity" else random_block(5)
+    k = xi_norm(A, eta)
+    target = 2.0 * float(eta @ A.a_tan @ eta) ** 1.5
+    errors = []
+    for scaled in (2.0 ** p for p in range(9, 17)):
+        h = 1.0 / (scaled * k)
+        grid = HalfSpaceGrid(h, math.ceil(30.0 * scaled) * h)
+        rel = abs(bvp_solve_p2(A, FourierDatum(eta), grid) - target) / target
+        assert rel <= 32.0 / scaled**2
+        errors.append(rel)
+    assert all(a > b for a, b in zip(errors, errors[1:]))
+
+
+@pytest.mark.parametrize("bc_value, bc_slope", [(0.0, 0.7), (1.0, 0.0)])
+def test_solve_at_some_nodes_equals_the_all_node_solve(bc_value, bc_slope):
+    A, eta = random_block(4)
+    k = xi_norm(A, eta)
+    h = 1.0 / (1000.0 * k)
+    grid = HalfSpaceGrid(h, 30000 * h)
+    n = grid.n_steps
+    u_all, v_all = _solve_ode(k, grid, bc_value, bc_slope, np.arange(n + 1))
+    for nodes in ([1, 2, 3, 4], [n, 0, n // 2, n - 1]):
+        u, v = _solve_ode(k, grid, bc_value, bc_slope, nodes)
+        assert np.array_equal(u, u_all[nodes]) and np.array_equal(v, v_all[nodes])
+
+
+@pytest.mark.parametrize("solver", [bvp_solve_p1, bvp_solve_p2])
+@pytest.mark.parametrize("block", ["identity", "seeded"])
+def test_symbols_do_not_depend_on_the_far_field_length(solver, block):
+    # h |xi'| = 1/64 and L |xi'| = 30, 300, 3e4, and the 2^22 steps of the CLI cap
+    A, eta = (MetricBlock.identity(2), np.array([1.0])) if block == "identity" else random_block(5)
+    h = 1.0 / (64.0 * xi_norm(A, eta))
+    with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        values = [solver(A, FourierDatum(eta), HalfSpaceGrid(h, steps * h))
+                  for steps in (64 * 30, 64 * 300, 64 * 30000, 2 ** 22)]
+    assert values == pytest.approx([values[0]] * 4, rel=1e-15, abs=0.0)
+
+
+def test_solve_memory_does_not_grow_with_the_grid():
+    # 2^22 steps: a solve over every node would hold hundreds of MiB
+    A = MetricBlock.identity(2)
+    grid = HalfSpaceGrid(30.0 / 2**22, 30.0)
+    bvp_solve_p1(A, FourierDatum([1.0]), grid)
+    tracemalloc.start()
+    try:
+        value = bvp_solve_p1(A, FourierDatum([1.0]), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(2.0, rel=1e-9) and peak < 2**20
+
+
+def test_solve_raises_on_non_finite_results():
     A = MetricBlock.identity(2)
     grid = HalfSpaceGrid(1 / 64, 30.0)
     with np.errstate(invalid="ignore"):
         with pytest.raises(SolverError, match="non-finite"):
-            _solve_ode(1.0, grid, float("inf"), 0.0)
-        with pytest.raises(SolverError):
-            _solve_ode(float("nan"), grid, 1.0, 0.0)  # NaN passes the L * |xi'| guard
-    from scipy.linalg import lapack
-
-    monkeypatch.setattr(lapack, "dpttrs", lambda d, e, b: (b, -3))
-    with pytest.raises(SolverError, match="LAPACK info -3"):
-        _solve_ode(1.0, grid, 1.0, 0.0)
+            _solve_ode(1.0, grid, float("inf"), 0.0, np.arange(grid.n_steps + 1))
+        with pytest.raises(SolverError):  # NaN passes the L * |xi'| guard
+            _solve_ode(float("nan"), grid, 1.0, 0.0, np.arange(grid.n_steps + 1))
 
 
 # ---------------------------------------------------------------------------
