@@ -154,34 +154,39 @@ class _Setting(NamedTuple):
     bound: tuple[Callable[[object], bool], str] | None = None
     choices: tuple | None = None
     help: str | None = None
+    modes: tuple[str, ...] = ("bvp", "kernel")
 
 
 _ALL = ("spectrum", "weyl", "halfspace", "symbol", "identity-check")
 
 # Every setting once: the flag --name (underscores as dashes) and config-file
 # key, the type that casts it, its default, the commands that read it, its
-# bound (a predicate and the condition it states) and its choices; float
-# settings must be finite.  A command takes exactly the settings that name it,
-# and the filled argparse namespace is its run configuration.
+# bound (a predicate and the condition it states), its choices and the
+# halfspace modes that take it (bvp mode takes and ignores the kernel flags);
+# float settings must be finite.  A command takes exactly the settings that
+# name it, and the filled argparse namespace is its run configuration.
+_BVP = ("bvp",)
 _SETTINGS = {
     "problem": _Setting(str, "p1", ("spectrum", "weyl", "halfspace", "symbol"),
-                        choices=tuple(sorted(p.value for p in ProblemKind))),
+                        choices=tuple(sorted(p.value for p in ProblemKind)), modes=_BVP),
     "n": _Setting(int, 2, _ALL, (lambda v: v >= 2, "n >= 2")),
     "m_max": _Setting(int, 10, ("spectrum", "weyl"), (lambda v: v >= 0, "m-max >= 0")),
     "rho": _Setting(str, "1", ("spectrum", "weyl", "symbol"),
                     help="weight: constant or expression in t"),
-    "h": _Setting(float, 1.0 / 256.0, ("halfspace",), (lambda v: v > 0, "h > 0")),
+    "h": _Setting(float, 1.0 / 256.0, ("halfspace",), (lambda v: v > 0, "h > 0"), modes=_BVP),
     "L": _Setting(float, 30.0, ("halfspace",), (lambda v: v > 0, "L > 0")),
     "panels": _Setting(int, 64, ("symbol",), (lambda v: v >= 1, "panels >= 1")),
-    "eta": _Setting(float, 1.0, ("halfspace", "symbol"), (lambda v: v != 0, "eta != 0")),
+    "eta": _Setting(float, 1.0, ("halfspace", "symbol"), (lambda v: v != 0, "eta != 0"),
+                    modes=_BVP),
     "epsilon": _Setting(float, 0.0, ("symbol",), (lambda v: v >= 0, "epsilon >= 0")),
     # the ladder scales the step by 2.0 ** level, which overflows past level 1023
-    "levels": _Setting(int, 4, ("halfspace",), (lambda v: 1 <= v <= 32, "1 <= levels <= 32")),
+    "levels": _Setting(int, 4, ("halfspace",), (lambda v: 1 <= v <= 32, "1 <= levels <= 32"),
+                       modes=_BVP),
     "points": _Setting(int, 72, ("symbol",), (lambda v: v >= 1, "points >= 1")),
     "samples": _Setting(int, 128, ("halfspace",), (lambda v: v >= 4, "samples >= 4")),
     "xn": _Setting(float, 1.0, ("halfspace",), (lambda v: v > 0, "xn > 0")),
     # None: the identity block; any integer, 0 included, seeds a block
-    "seed": _Setting(int, None, ("halfspace",)),
+    "seed": _Setting(int, None, ("halfspace",), modes=_BVP),
     "mode": _Setting(str, "bvp", ("halfspace",), choices=("bvp", "kernel")),
     "out": _Setting(str, None, _ALL, help="output path (default: stdout)"),
 }
@@ -226,13 +231,15 @@ def _build_config(cfg: argparse.Namespace) -> argparse.Namespace:
     settings = _settings_of(cfg.command)
     file_values = _read_config_file(cfg.config, settings) if cfg.config else {}
     command_defaults = _COMMAND_DEFAULTS.get(cfg.command, {})
+    given = []
     for field, setting in settings.items():
         value = getattr(cfg, field)
+        if value is None and field in file_values:
+            value = setting.type(file_values[field])
         if value is None:
-            if field in file_values:
-                value = setting.type(file_values[field])
-            else:
-                value = command_defaults.get(field, setting.default)
+            value = command_defaults.get(field, setting.default)
+        else:
+            given.append(field)
         if setting.choices and value not in setting.choices:
             raise ValueError(f"{field} must be one of {', '.join(setting.choices)}, "
                              f"got {value!r}")
@@ -241,6 +248,9 @@ def _build_config(cfg: argparse.Namespace) -> argparse.Namespace:
         if setting.bound and not setting.bound[0](value):
             raise ValueError(f"need {setting.bound[1]}")
         setattr(cfg, field, value)
+    for field in given:
+        if "mode" in settings and cfg.mode not in settings[field].modes:
+            raise ValueError(f"--{field.replace('_', '-')} is not read in {cfg.mode} mode")
     if "problem" in settings:
         cfg.problem = ProblemKind(cfg.problem)
     return cfg
@@ -284,8 +294,8 @@ def _constant_rho(cfg: argparse.Namespace) -> float:
         raise ValueError("this command needs a constant weight; expressions over "
                          "the boundary parameter belong to the 'symbol' command")
     c = expr.constant_value()
-    if not c > 0:
-        raise ValueError("weight constant must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("weight constant must be positive and finite")
     return c
 
 
@@ -300,6 +310,8 @@ def _scaled_spectrum(cfg: argparse.Namespace, c: float) -> spectra.Spectrum:
         spec = spectra.disk_spectrum_harmonic(cfg.m_max)
     if c == 1.0:
         return spec
+    if spec.entries[-1].value / c == math.inf:
+        raise ValueError(f"weight {c:.6g} is too small: eigenvalue / rho overflows a double")
     # constant weight c divides every eigenvalue; exact cubes no longer integral
     entries = tuple(
         spectra.SpectrumEntry(e.value / c, e.mult) for e in spec.entries
@@ -311,10 +323,8 @@ def cmd_spectrum(cfg: argparse.Namespace) -> None:
     """Closed-form spectrum as CSV."""
     c = _constant_rho(cfg)
     spec = _scaled_spectrum(cfg, c)
-    rows, cumulative = [], 0
-    for index, entry in enumerate(spec.entries):
-        cumulative += entry.mult
-        rows.append([index, entry.value, entry.mult, cumulative])
+    rows = [[index, entry.value, entry.mult, count]
+            for index, (entry, count) in enumerate(zip(spec.entries, spec.cumulative))]
     _emit(["index", "value", "multiplicity", "cumulative_count"], rows, cfg.out)
 
 
@@ -327,16 +337,14 @@ def cmd_weyl(cfg: argparse.Namespace) -> None:
     except OverflowError:
         raise ValueError(f"weight {c:.6g} is too large: rho^(n-1) overflows a double") from None
     model = counting.WeylModel(cfg.problem, cfg.n, integral)
-    rows, cumulative, samples = [], 0, []
-    for entry in spec.entries:
-        cumulative += entry.mult
+    rows, samples = [], []
+    for entry, count in zip(spec.entries, spec.cumulative):
         tau = entry.value
         predicted = model.predicted(tau)
-        residual = (cumulative - predicted) / tau ** (cfg.n - 2) if tau > 0 \
-            else float(cumulative)
-        rows.append([tau, cumulative, predicted, residual])
+        residual = (count - predicted) / tau ** (cfg.n - 2) if tau > 0 else float(count)
+        rows.append([tau, count, predicted, residual])
         if tau > 0:
-            samples.append((tau, cumulative))
+            samples.append((tau, count))
     report = counting.remainder_fit(counting.CountingSeries(tuple(samples)), model)
     rows.append(["summary", report.second_coeff_estimate, report.trend_slope,
                  report.sharp_verdict])

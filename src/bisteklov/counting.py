@@ -10,8 +10,10 @@ The remainder study extracts the next coefficient from the scaled residual
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -140,22 +142,21 @@ def count_upto(spectrum: Spectrum, tau: float | None = None, *,
 
     For problem-2 spectra the threshold may be supplied as ``tau_cube``, the
     exact cube of tau; ties are then resolved on the stored integer cubes
-    instead of floating roots.
+    instead of floating roots.  A NaN threshold counts nothing.
     """
     if (tau is None) == (tau_cube is None):
         raise ValueError("supply exactly one of tau, tau_cube")
-    total = 0
+    entries = spectrum.entries
     if tau_cube is not None:
-        for e in spectrum.entries:
-            if e.cube is None:
-                raise ValueError("spectrum entries carry no exact cubes")
-            if e.cube <= tau_cube:
-                total += e.mult
-        return total
-    for e in spectrum.entries:
-        if e.value <= tau:
-            total += e.mult
-    return total
+        if entries and entries[0].cube is None:
+            raise ValueError("spectrum entries carry no exact cubes")
+        threshold, key = tau_cube, attrgetter("cube")
+    else:
+        threshold, key = tau, attrgetter("value")
+    if threshold != threshold:  # NaN
+        return 0
+    k = bisect_right(entries, threshold, key=key)
+    return spectrum.cumulative[k - 1] if k else 0
 
 
 def ball_count_closed(n: int, m: int) -> int:
@@ -320,23 +321,24 @@ def remainder_fit(series: CountingSeries, model: WeylModel,
     The verdict is sharp when the estimate exceeds the tolerance, which
     defaults to a tenth of the leading coefficient.
     """
-    taus = [t for t, _ in series.samples]
-    counts = [c for _, c in series.samples]
-    if len(taus) < 10:
+    samples = series.samples
+    if len(samples) < 10:
         raise ValueError("need at least 10 samples")
-    if taus[0] <= 0:
+    first = samples[0][0]
+    last, last_count = samples[-1]
+    if first <= 0:
         raise ValueError("need positive tau samples")
-    if taus[-1] < 10.0 * taus[0]:
+    if last < 10.0 * first:
         raise ValueError("samples must span at least one decade")
-    ratio = counts[-1] / model.predicted(taus[-1])
+    # tau^(n-1) grows with tau, so only the largest tau can overflow
+    ratio = last_count / model.predicted(last)
     if not 0.2 < ratio < 5.0:
         raise ValueError("series growth inconsistent with the model dimension")
 
-    residuals = tuple(
-        (t, (c - model.predicted(t)) / t ** (model.n - 2)) for t, c in zip(taus, counts)
-    )
+    c_lead, p, q = model.c_lead, model.n - 1, model.n - 2
+    residuals = tuple((t, (c - c_lead * t ** p) / t ** q) for t, c in samples)
     estimate = residuals[-1][1]
-    trend = (residuals[-1][1] - residuals[0][1]) / (math.log(taus[-1]) - math.log(taus[0]))
+    trend = (residuals[-1][1] - residuals[0][1]) / (math.log(last) - math.log(first))
     tol = 0.1 * model.c_lead if tolerance is None else tolerance
     return RemainderReport(estimate, residuals, abs(estimate) > tol, tol, trend)
 

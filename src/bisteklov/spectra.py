@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate, islice
+from operator import add, gt
 from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
@@ -35,12 +37,17 @@ class ProblemKind(Enum):
 # exact multivariate polynomials
 # ---------------------------------------------------------------------------
 
-def _accumulate(terms: dict, alpha: Exponent, coeff: Fraction) -> None:
-    new = terms.get(alpha, _ZERO) + coeff
+def _accumulate(terms: dict, alpha: Exponent, coeff) -> None:
+    """Add a nonzero coefficient to ``terms[alpha]``, dropping a sum that cancels."""
+    old = terms.get(alpha)
+    if old is None:
+        terms[alpha] = coeff
+        return
+    new = old + coeff
     if new:
         terms[alpha] = new
     else:
-        terms.pop(alpha, None)
+        del terms[alpha]
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,20 @@ class HarmonicPoly:
                 _accumulate(clean, alpha, c)
         object.__setattr__(self, "terms", clean)
 
+    def _new(self, terms: dict) -> "HarmonicPoly":
+        # The operations below build ``terms`` from clean ones: exponent tuples
+        # of length n, nonzero coefficients.  They skip the public checks.
+        # Integer coefficients pass through unchanged, which lets
+        # verify_ball_eigenpair run on a denominator-free multiple of psi.
+        poly = object.__new__(HarmonicPoly)
+        object.__setattr__(poly, "n", self.n)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
+    def _check_same_n(self, other: "HarmonicPoly") -> None:
+        if other.n != self.n:
+            raise ValueError(f"polynomials in {self.n} and {other.n} variables")
+
     # -- constructors --------------------------------------------------
 
     @staticmethod
@@ -91,38 +112,45 @@ class HarmonicPoly:
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other: "HarmonicPoly") -> "HarmonicPoly":
+        self._check_same_n(other)
         out = dict(self.terms)
         for alpha, c in other.terms.items():
             _accumulate(out, alpha, c)
-        return HarmonicPoly(self.n, out)
+        return self._new(out)
 
     def __neg__(self) -> "HarmonicPoly":
-        return HarmonicPoly(self.n, {a: -c for a, c in self.terms.items()})
+        return self._new({a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other: "HarmonicPoly") -> "HarmonicPoly":
         return self + (-other)
 
     def __mul__(self, other) -> "HarmonicPoly":
         if isinstance(other, HarmonicPoly):
+            self._check_same_n(other)
             out: dict = {}
             for a, ca in self.terms.items():
                 for b, cb in other.terms.items():
-                    _accumulate(out, tuple(x + y for x, y in zip(a, b)), ca * cb)
-            return HarmonicPoly(self.n, out)
-        return HarmonicPoly(self.n, {a: c * Fraction(other) for a, c in self.terms.items()})
+                    _accumulate(out, tuple(map(add, a, b)), ca * cb)
+            return self._new(out)
+        s = Fraction(other)
+        if not s:
+            return self._new({})
+        if s.denominator == 1:  # keeps integer coefficients integral
+            s = s.numerator
+        return self._new({a: c * s for a, c in self.terms.items()})
 
     __rmul__ = __mul__
 
     # -- calculus ------------------------------------------------------
 
     def partial(self, i: int) -> "HarmonicPoly":
-        out: dict = {}
+        out = {}
         for alpha, c in self.terms.items():
-            if alpha[i]:
+            if alpha[i]:  # distinct exponents stay distinct
                 beta = list(alpha)
                 beta[i] -= 1
-                _accumulate(out, tuple(beta), c * alpha[i])
-        return HarmonicPoly(self.n, out)
+                out[tuple(beta)] = c * alpha[i]
+        return self._new(out)
 
     def laplacian(self) -> "HarmonicPoly":
         out: dict = {}
@@ -132,11 +160,11 @@ class HarmonicPoly:
                     beta = list(alpha)
                     beta[i] -= 2
                     _accumulate(out, tuple(beta), c * ai * (ai - 1))
-        return HarmonicPoly(self.n, out)
+        return self._new(out)
 
     def x_dot_grad(self) -> "HarmonicPoly":
         """The radial operator sum_i x_i d/dx_i (scales each term by its degree)."""
-        return HarmonicPoly(self.n, {a: c * sum(a) for a, c in self.terms.items()})
+        return self._new({a: c * d for a, c in self.terms.items() if (d := sum(a))})
 
     # -- structure queries ----------------------------------------------
 
@@ -173,31 +201,33 @@ class HarmonicPoly:
                 beta = list(alpha)
                 beta[i] += 2
                 _accumulate(out, tuple(beta), -c)
-        return HarmonicPoly(self.n, out)
+        return self._new(out)
 
     def reduce_on_sphere(self) -> "HarmonicPoly":
         """Canonical remainder modulo (|x|^2 - 1).
 
         Substitutes x_1^2 -> 1 - x_2^2 - ... - x_n^2 until no term carries a
-        power of x_1 above one; every substitution lowers the x_1-degree of
-        the touched terms by two, so the rewrite terminates.  The remainder
-        is zero exactly when the polynomial vanishes on the unit sphere.
+        power of x_1 above one.  A substitution moves a term two x_1-degrees
+        down, so the terms are grouped by x_1-degree and each group, from the
+        top, is rewritten once, after everything above it has landed in it.
+        The remainder is zero exactly when the polynomial vanishes on the
+        unit sphere.
         """
-        work = dict(self.terms)
-        done: dict = {}
-        while work:
-            alpha = max(work, key=lambda a: (a[0], a))
-            coeff = work.pop(alpha)
-            if alpha[0] < 2:
-                _accumulate(done, alpha, coeff)
-                continue
-            base = (alpha[0] - 2,) + alpha[1:]
-            _accumulate(work, base, coeff)
-            for j in range(1, self.n):
-                bumped = list(base)
-                bumped[j] += 2
-                _accumulate(work, tuple(bumped), -coeff)
-        return HarmonicPoly(self.n, done)
+        by_degree: dict[int, dict] = {}
+        for alpha, c in self.terms.items():
+            by_degree.setdefault(alpha[0], {})[alpha] = c
+        for d in range(max(by_degree, default=0), 1, -1):
+            lower = by_degree.setdefault(d - 2, {})
+            for alpha, coeff in by_degree.pop(d, {}).items():
+                base = (d - 2,) + alpha[1:]
+                _accumulate(lower, base, coeff)
+                for j in range(1, self.n):
+                    bumped = list(base)
+                    bumped[j] += 2
+                    _accumulate(lower, tuple(bumped), -coeff)
+        done = by_degree.get(0, {})
+        done.update(by_degree.get(1, {}))
+        return self._new(done)
 
     def vanishes_on_sphere(self) -> bool:
         return self.reduce_on_sphere().is_zero
@@ -283,7 +313,7 @@ def harmonic_basis(n: int, m: int, max_monomials: int = 200_000) -> list[Harmoni
 # spectra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectrumEntry:
     """One eigenvalue with multiplicity; ``cube`` keeps the exact integer cube
     for eigenvalues that are only known as cube roots."""
@@ -295,26 +325,39 @@ class SpectrumEntry:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sorted eigenvalue/multiplicity list for one problem kind."""
+    """Sorted eigenvalue/multiplicity list for one problem kind.
+
+    ``cumulative[i]`` counts the eigenvalues, with multiplicity, through
+    ``entries[i]``.  Either every entry carries its exact cube or none does.
+    """
 
     problem: ProblemKind
     n: int
     entries: tuple[SpectrumEntry, ...]
+    cumulative: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
-        prev = None
-        for e in self.entries:
-            if e.mult < 1:
-                raise ValueError("multiplicities must be positive")
-            if e.value < 0:
-                raise ValueError("eigenvalues must be nonnegative")
-            if self.problem is ProblemKind.NEUMANN_TRACE and e.value <= 0:
-                raise ValueError("problem-1 eigenvalues must be positive")
-            if prev is not None and not e.value > prev:
-                raise ValueError("eigenvalues must be strictly increasing")
-            prev = e.value
+        values = [e.value for e in self.entries]
+        mults = [e.mult for e in self.entries]
+        cubes = [e.cube for e in self.entries]
+        if min(mults, default=1) < 1:
+            raise ValueError("multiplicities must be positive")
+        # a NaN fails these comparisons, and once the values increase the
+        # first one is the least
+        if not all(map(gt, islice(values, 1, None), values)):
+            raise ValueError("eigenvalues must be strictly increasing")
+        if values and not values[0] >= 0:
+            raise ValueError("eigenvalues must be nonnegative")
+        if values and self.problem is ProblemKind.NEUMANN_TRACE and not values[0] > 0:
+            raise ValueError("problem-1 eigenvalues must be positive")
+        if None in cubes:
+            if cubes.count(None) != len(cubes):
+                raise ValueError("either every entry carries an exact cube or none does")
+        elif not all(map(gt, islice(cubes, 1, None), cubes)):
+            raise ValueError("exact cubes must be strictly increasing")
+        object.__setattr__(self, "cumulative", tuple(accumulate(mults)))
 
 
 def ball_spectrum_p1(n: int, m_max: int) -> Spectrum:
@@ -335,11 +378,9 @@ def disk_spectrum_p2(m_max: int) -> Spectrum:
     eigenvalues whose exact cubes are 2 m^2 (m+1)."""
     if m_max < 0:
         raise ValueError("need m_max >= 0")
-    entries = [SpectrumEntry(0.0, 1, cube=0)]
-    for m in range(1, m_max + 1):
-        cube = 2 * m * m * (m + 1)
-        entries.append(SpectrumEntry(float(cube) ** (1.0 / 3.0), 2, cube=cube))
-    return Spectrum(ProblemKind.DIRICHLET_TRACE, 2, tuple(entries))
+    entries = tuple(SpectrumEntry(float(cube) ** (1.0 / 3.0), 2 if cube else 1, cube)
+                    for cube in [2 * m * m * (m + 1) for m in range(m_max + 1)])
+    return Spectrum(ProblemKind.DIRICHLET_TRACE, 2, entries)
 
 
 def disk_spectrum_harmonic(m_max: int) -> Spectrum:
@@ -383,6 +424,10 @@ def verify_ball_eigenpair(n: int, m: int, psi: HarmonicPoly) -> EigenpairCheck:
         raise ValueError(f"psi has {psi.n} variables, expected {n}")
     if psi.is_zero or not psi.is_homogeneous(m):
         raise ValueError(f"psi must be nonzero and homogeneous of degree {m}")
+    # every check is linear in psi, so they run on its multiple by the lcm of
+    # its denominators, whose coefficients are integers
+    scale = math.lcm(*(c.denominator for c in psi.terms.values()))
+    psi = psi._new({a: c.numerator * (scale // c.denominator) for a, c in psi.terms.items()})
     if not psi.is_harmonic():
         raise ValueError("psi must be exactly harmonic")
 
@@ -408,32 +453,33 @@ def radial_verify_p2(m: int) -> tuple[Fraction, Fraction, Fraction]:
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    # f(r) = r^(m+2) / (4(m+1)) - (m+2) r^m / (4m(m+1)), as {power: coefficient}
-    f = {m + 2: Fraction(1, 4 * (m + 1)), m: Fraction(-(m + 2), 4 * m * (m + 1))}
+    # f(r) = r^(m+2) / (4(m+1)) - (m+2) r^m / (4m(m+1)); the checks run on
+    # s * f with s = 4m(m+1), as {power: integer coefficient}
+    s = 4 * m * (m + 1)
+    f = {m + 2: m, m: -(m + 2)}
 
     def d(p):
         return {k - 1: c * k for k, c in p.items() if k}
 
     df, ddf = d(f), d(d(f))
-    # r^2 f'' + r f' - m^2 f - r^(m+2) must vanish termwise
-    ode: dict[int, Fraction] = {}
+    # s * (r^2 f'' + r f' - m^2 f - r^(m+2)) must vanish termwise
+    ode: dict[int, int] = {}
     for k, c in ddf.items():
-        ode[k + 2] = ode.get(k + 2, _ZERO) + c
+        ode[k + 2] = ode.get(k + 2, 0) + c
     for k, c in df.items():
-        ode[k + 1] = ode.get(k + 1, _ZERO) + c
+        ode[k + 1] = ode.get(k + 1, 0) + c
     for k, c in f.items():
-        ode[k] = ode.get(k, _ZERO) - m * m * c
-    ode[m + 2] = ode.get(m + 2, _ZERO) - 1
+        ode[k] = ode.get(k, 0) - m * m * c
+    ode[m + 2] = ode.get(m + 2, 0) - s
 
-    at_one = lambda p: sum(p.values(), _ZERO)
-    f1 = at_one(f)
-    neumann = at_one(df)
+    f1 = Fraction(sum(f.values()), s)
+    neumann = Fraction(sum(df.values()), s)
     # inward normal derivative of the source harmonic is -m at r=1
     ratio = Fraction(-m) / f1
     residual = (
         abs(neumann)
         + abs(f1 + Fraction(1, 2 * m * (m + 1)))
         + abs(ratio - 2 * m * m * (m + 1))
-        + sum(abs(c) for c in ode.values())
+        + Fraction(sum(abs(c) for c in ode.values()), s)
     )
     return f1, ratio, residual

@@ -272,6 +272,9 @@ def test_dimensions_past_double_range_exit_2(capsys, argv, message):
     ("symbol --problem p1 --rho 1e308 --points 2", "integral of rho^(n-1) overflows"),
     ("weyl --problem p1 --n 40 --m-max 64 --rho 1e10", "weight 1e+10 is too large: rho^(n-1)"),
     ("weyl --problem p1 --m-max 64 --rho 1.7e308", "boundary integral must be positive and finite"),
+    ("spectrum --problem p1 --n 2 --m-max 4 --rho 1e-310", "weight 1e-310 is too small"),
+    ("weyl --problem p1 --n 2 --m-max 4 --rho 1e-310", "weight 1e-310 is too small"),
+    ("spectrum --problem p2 --m-max 4 --rho 1e400", "weight constant must be positive and finite"),
 ])
 def test_weights_past_double_range_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv.split())
@@ -319,13 +322,14 @@ _HOSTILE_FLOAT = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0
 _HOSTILE_INT = st.sampled_from([-1, 0, 1])
 # dimensions past the double range of (n-1)!, base^(n-1) and tau^(n-1)
 _HOSTILE_N = st.sampled_from([-1, 0, 1, 172, 300])
-# constant weights whose powers leave the double range in the counting constants
-_LARGE_WEIGHT = st.sampled_from(["1e5", "1e10", "1e300"])
+# constant weights whose powers leave the double range in the counting constants,
+# or whose quotients leave it in the scaled spectra
+_EXTREME_WEIGHT = st.sampled_from(["1e5", "1e10", "1e300", "1e-310"])
 _COUNTING_FLAGS = {
     "--problem": (st.sampled_from(["p1", "p2", "harmonic"]), st.just("p9")),
     "--n": (st.integers(2, 5), _HOSTILE_N),
     "--m-max": (st.integers(0, 2000), st.just(-1)),
-    "--rho": (st.sampled_from(["1", "2.5", "0.5"]) | _LARGE_WEIGHT, st.text()),
+    "--rho": (st.sampled_from(["1", "2.5", "0.5"]) | _EXTREME_WEIGHT, st.text()),
 }
 
 # command line before the flags: {flag: (valid values, hostile values)}; no draw
@@ -346,7 +350,7 @@ _FLAGS = {
         "--xn": (st.floats(0.05, 4.0), _HOSTILE_FLOAT),
     },
     ("symbol",): {
-        "--rho": (st.sampled_from(["1", "2+cos(t)", "1+0.5*sin(2*t)"]) | _LARGE_WEIGHT,
+        "--rho": (st.sampled_from(["1", "2+cos(t)", "1+0.5*sin(2*t)"]) | _EXTREME_WEIGHT,
                   st.sampled_from(["cos(t)", "-1"]) | st.text()),
         "--eta": (st.floats(0.1, 4.0), _HOSTILE_FLOAT),
         "--epsilon": (st.floats(0.0, 1.0), _HOSTILE_FLOAT),
@@ -508,6 +512,19 @@ def test_flags_a_command_does_not_read_exit_2(capsys):
     for argv in argvs:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "unrecognized arguments" in err, argv
+
+
+def test_kernel_mode_refuses_the_bvp_flags(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    for flag, value in [("--problem", "p1"), ("--h", "5"), ("--levels", "2"),
+                        ("--eta", "2"), ("--seed", "0")]:
+        config.write_text(f"mode = kernel\n{flag[2:]} = {value}\n")
+        for argv in (["--mode", "kernel", "--samples", "16", flag, value],
+                     ["--samples", "16", "--config", str(config)]):
+            code, out, err = run_cli(capsys, "halfspace", *argv)
+            assert code == 2 and out == "" and f"{flag} is not read in kernel mode" in err, argv
+    code, out, _ = run_cli(capsys, "halfspace", "--levels", "1", "--samples", "16", "--xn", "2")
+    assert code == 0 and out  # bvp mode takes the kernel flags and ignores them
 
 
 def test_readme_flag_lists_match_the_parsers():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from bisteklov import (
     CountingSeries,
     HomogeneousSymbol,
     ProblemKind,
+    Spectrum,
+    SpectrumEntry,
     WeylModel,
     ball_count_closed,
     ball_spectrum_p1,
@@ -58,6 +61,42 @@ def test_count_upto_argument_validation():
         count_upto(s, 3.0, tau_cube=27)
     with pytest.raises(ValueError):
         count_upto(s, tau_cube=8)  # no exact cubes stored for problem 1
+
+
+@st.composite
+def _spectra(draw):
+    """Strictly increasing problem-1 spectra (no cubes) or problem-2 spectra
+    whose values are the cube roots of their exact cubes."""
+    mults = st.integers(1, 4)
+    if draw(st.booleans()):
+        values = sorted(draw(st.sets(st.floats(1e-3, 1e3) | st.integers(1, 60).map(float),
+                                     min_size=1, max_size=30)))
+        entries = [SpectrumEntry(v, draw(mults)) for v in values]
+        return Spectrum(P1, 2, tuple(entries))
+    cubes = sorted(draw(st.sets(st.integers(0, 10 ** 6), min_size=1, max_size=30)))
+    entries = [SpectrumEntry(float(c) ** (1.0 / 3.0), draw(mults), c) for c in cubes]
+    return Spectrum(P2, 2, tuple(entries))
+
+
+@given(_spectra())
+@settings(max_examples=150, deadline=None)
+def test_count_upto_matches_a_linear_count(spectrum):
+    taus = [math.nan, math.inf, -math.inf, -1.0, 0.0]
+    for e in spectrum.entries:
+        taus += [e.value, math.nextafter(e.value, -math.inf), math.nextafter(e.value, math.inf)]
+    for tau in taus:
+        assert count_upto(spectrum, tau) == sum(e.mult for e in spectrum.entries if e.value <= tau)
+    if spectrum.entries[0].cube is None:
+        with pytest.raises(ValueError, match="no exact cubes"):
+            count_upto(spectrum, tau_cube=8)
+        return
+    cubes = [-1, 0, Fraction(-1, 2)]
+    for e in spectrum.entries:
+        cubes += [e.cube - 1, e.cube, e.cube + 1,
+                  Fraction(2 * e.cube - 1, 2), Fraction(e.cube), Fraction(2 * e.cube + 1, 2)]
+    for cube in cubes:
+        assert count_upto(spectrum, tau_cube=cube) == \
+            sum(e.mult for e in spectrum.entries if e.cube <= cube)
 
 
 @given(st.integers(2, 5), st.floats(0, 50))
@@ -303,6 +342,26 @@ def test_remainder_fit_disk_flux_constant():
     report = remainder_fit(CountingSeries(tuple(samples)), model)
     assert report.second_coeff_estimate == pytest.approx(1 / 3, abs=1e-3)
     assert report.sharp_verdict
+
+
+def test_disk_flux_count_is_a_sawtooth_around_the_leading_term():
+    # count - C_lead * tau tends to 1/3 at the eigenvalues and to -5/3 just
+    # below them, each with an O(1/m) error: an O(1) remainder that does not decay
+    spectrum = disk_spectrum_p2(100_000)
+    c_lead = weyl_leading(P2, 2, sphere_area(2))
+    for m in (1, 2, 3, 10, 77, 1000, 31_623, 99_999, 100_000):
+        cube, tau = 2 * m * m * (m + 1), spectrum.entries[m].value
+        at = count_upto(spectrum, tau_cube=cube) - c_lead * tau
+        below = count_upto(spectrum, tau_cube=cube - 1) - c_lead * tau
+        assert abs(at - 1 / 3) < 1 / m and abs(below + 5 / 3) < 1 / m, m
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_remainder_fit_residuals_are_the_scaled_gaps(n):
+    model = WeylModel(P1, n, sphere_area(n))
+    series = ball_series(n, 300)
+    expected = tuple((t, (c - model.predicted(t)) / t ** (n - 2)) for t, c in series.samples)
+    assert remainder_fit(series, model).residual_series == expected
 
 
 def test_remainder_fit_validation():

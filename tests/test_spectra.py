@@ -170,6 +170,41 @@ def test_poly_calculus():
     assert p.degree() == 4 and p.is_homogeneous(4)
 
 
+# exact polynomials in three variables, constant terms included
+_POLYS = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6), max_size=6,
+).map(lambda terms: HarmonicPoly(3, terms))
+# rational points on the unit sphere
+_SPHERE = [(Fraction(3, 5), Fraction(4, 5), 0), (Fraction(2, 3), Fraction(-1, 3), Fraction(2, 3)),
+           (Fraction(-2, 7), Fraction(3, 7), Fraction(6, 7)), (1, 0, 0)]
+
+
+@given(_POLYS, _POLYS, st.sampled_from([0, 3, Fraction(-2, 7), 0.5]))
+@settings(max_examples=60, deadline=None)
+def test_poly_operations_return_clean_exact_terms(p, q, scalar):
+    with_constant = p + HarmonicPoly.constant(3, 1)
+    results = [p + q, p - q, -p, p * q, p * scalar, scalar * p, p * 0, p.partial(1),
+               p.laplacian(), p.x_dot_grad(), with_constant.x_dot_grad(),
+               p.times_one_minus_r2(), p.reduce_on_sphere()]
+    for r in results:
+        assert all(type(c) is Fraction and c for c in r.terms.values()), r
+        assert HarmonicPoly(r.n, r.terms).terms == r.terms
+    assert (p * 0).is_zero and (p - p).is_zero
+    assert (0, 0, 0) not in with_constant.x_dot_grad().terms
+    point = (Fraction(1, 2), Fraction(-2, 3), 3)
+    assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
+    reduced = p.reduce_on_sphere()
+    assert all(alpha[0] <= 1 for alpha in reduced.terms)
+    assert all(reduced.evaluate(x) == p.evaluate(x) for x in _SPHERE)
+
+
+def test_poly_operations_need_the_same_variable_count():
+    for op in (lambda p, q: p + q, lambda p, q: p * q):
+        with pytest.raises(ValueError):
+            op(HarmonicPoly.variable(2, 0), HarmonicPoly.variable(3, 0))
+
+
 @given(st.integers(0, 12), st.integers(0, 12))
 @settings(max_examples=25, deadline=None)
 def test_times_one_minus_r2_vanishes_on_sphere(i, j):
@@ -203,7 +238,8 @@ def test_eigenpair_whole_basis_n3():
 
 
 @pytest.mark.parametrize("n,m", [(2, 17), (2, 60), (3, 9), (3, 20), (4, 5),
-                                 (5, 4), (6, 3)])
+                                 (5, 4), (6, 3)] + [
+    (n, m) for n, m_top in {2: 8, 3: 6, 4: 4, 5: 3}.items() for m in range(m_top + 1)])
 def test_eigenpair_across_dimensions(n, m):
     basis = harmonic_basis(n, m)
     for psi in basis:
@@ -248,12 +284,11 @@ def test_radial_reference_values():
     assert mu3 == 2200 and residual == 0
 
 
-def test_radial_exact_through_200():
-    for m in range(1, 201):
-        u1, mu3, residual = radial_verify_p2(m)
-        assert residual == 0
-        assert mu3 == 2 * m * m * (m + 1)
-        assert u1 == Fraction(-1, 2 * m * (m + 1))
+def test_radial_triples_are_exact_fractions():
+    for m in range(1, 301):
+        triple = radial_verify_p2(m)
+        assert triple == (Fraction(-1, 2 * m * (m + 1)), 2 * m * m * (m + 1), 0)
+        assert all(type(x) is Fraction for x in triple)
 
 
 def test_radial_rejects_m_zero():
@@ -311,7 +346,22 @@ def test_spectrum_invariants():
         Spectrum(ProblemKind.HARMONIC_STEKLOV, 2, (SpectrumEntry(1.0, 0),))
     with pytest.raises(ValueError):
         Spectrum(ProblemKind.HARMONIC_STEKLOV, 2, (SpectrumEntry(-1.0, 1),))
+    with pytest.raises(ValueError, match="nonnegative"):
+        Spectrum(ProblemKind.HARMONIC_STEKLOV, 2, (SpectrumEntry(math.nan, 1),))
+    with pytest.raises(ValueError, match="every entry carries an exact cube or none"):
+        Spectrum(ProblemKind.DIRICHLET_TRACE, 2,
+                 (SpectrumEntry(0.0, 1, 0), SpectrumEntry(1.0, 2)))
+    with pytest.raises(ValueError, match="exact cubes must be strictly increasing"):
+        Spectrum(ProblemKind.DIRICHLET_TRACE, 2,
+                 (SpectrumEntry(0.0, 1, 5), SpectrumEntry(1.0, 2, 4)))
     with pytest.raises(ValueError):
         ball_spectrum_p1(1, 3)
     with pytest.raises(ValueError):
         disk_spectrum_p2(-1)
+
+
+def test_spectrum_cumulative_counts():
+    s = disk_spectrum_p2(3)
+    assert s.cumulative == (1, 3, 5, 7)
+    assert ball_spectrum_p1(3, 2).cumulative == (1, 4, 9)
+    assert "cumulative" not in repr(s) and s == disk_spectrum_p2(3)
