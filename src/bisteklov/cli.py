@@ -310,21 +310,19 @@ def _scaled_spectrum(cfg: argparse.Namespace, c: float) -> spectra.Spectrum:
         spec = spectra.disk_spectrum_harmonic(cfg.m_max)
     if c == 1.0:
         return spec
-    if spec.entries[-1].value / c == math.inf:
+    if spec.values[-1] / c == math.inf:
         raise ValueError(f"weight {c:.6g} is too small: eigenvalue / rho overflows a double")
     # constant weight c divides every eigenvalue; exact cubes no longer integral
-    entries = tuple(
-        spectra.SpectrumEntry(e.value / c, e.mult) for e in spec.entries
-    )
-    return spectra.Spectrum(spec.problem, spec.n, entries)
+    return spectra.Spectrum(spec.problem, spec.n, tuple([v / c for v in spec.values]),
+                            spec.mults)
 
 
 def cmd_spectrum(cfg: argparse.Namespace) -> None:
     """Closed-form spectrum as CSV."""
     c = _constant_rho(cfg)
     spec = _scaled_spectrum(cfg, c)
-    rows = [[index, entry.value, entry.mult, count]
-            for index, (entry, count) in enumerate(zip(spec.entries, spec.cumulative))]
+    rows = [[index, value, mult, count] for index, (value, mult, count)
+            in enumerate(zip(spec.values, spec.mults, spec.cumulative))]
     _emit(["index", "value", "multiplicity", "cumulative_count"], rows, cfg.out)
 
 
@@ -337,15 +335,13 @@ def cmd_weyl(cfg: argparse.Namespace) -> None:
     except OverflowError:
         raise ValueError(f"weight {c:.6g} is too large: rho^(n-1) overflows a double") from None
     model = counting.WeylModel(cfg.problem, cfg.n, integral)
-    rows, samples = [], []
-    for entry, count in zip(spec.entries, spec.cumulative):
-        tau = entry.value
-        predicted = model.predicted(tau)
-        residual = (count - predicted) / tau ** (cfg.n - 2) if tau > 0 else float(count)
-        rows.append([tau, count, predicted, residual])
-        if tau > 0:
-            samples.append((tau, count))
-    report = counting.remainder_fit(counting.CountingSeries(tuple(samples)), model)
+    samples = tuple((tau, count) for tau, count in zip(spec.values, spec.cumulative) if tau > 0)
+    report = counting.remainder_fit(counting.CountingSeries(samples), model)
+    # only the first eigenvalue can be zero; its row has no scaled residual
+    rows = [[0.0, count, 0.0, float(count)]
+            for count in spec.cumulative[:len(spec.values) - len(samples)]]
+    rows += [[tau, count, model.predicted(tau), residual]
+             for (tau, count), (_, residual) in zip(samples, report.residual_series)]
     rows.append(["summary", report.second_coeff_estimate, report.trend_slope,
                  report.sharp_verdict])
     _emit(["tau", "count", "predicted", "residual_scaled"], rows, cfg.out)

@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -70,6 +70,9 @@ class WeylModel:
             return self.c_lead * tau ** (self.n - 1)
         except OverflowError:
             raise ValueError(f"n = {self.n} is too large: tau^(n-1) overflows a double") from None
+
+    def scaled_residual(self, tau: float, count: int) -> float:
+        return (count - self.predicted(tau)) / tau ** (self.n - 2)
 
 
 @dataclass(frozen=True)
@@ -146,16 +149,12 @@ def count_upto(spectrum: Spectrum, tau: float | None = None, *,
     """
     if (tau is None) == (tau_cube is None):
         raise ValueError("supply exactly one of tau, tau_cube")
-    entries = spectrum.entries
-    if tau_cube is not None:
-        if entries and entries[0].cube is None:
-            raise ValueError("spectrum entries carry no exact cubes")
-        threshold, key = tau_cube, attrgetter("cube")
-    else:
-        threshold, key = tau, attrgetter("value")
+    threshold, column = (tau, spectrum.values) if tau_cube is None else (tau_cube, spectrum.cubes)
+    if column is None:
+        raise ValueError("spectrum carries no exact cubes")
     if threshold != threshold:  # NaN
         return 0
-    k = bisect_right(entries, threshold, key=key)
+    k = bisect_right(column, threshold)
     return spectrum.cumulative[k - 1] if k else 0
 
 
@@ -302,13 +301,19 @@ def hormander_phase_volume(symbol: HomogeneousSymbol, x) -> float:
 
 @dataclass(frozen=True)
 class RemainderReport:
-    """Outcome of fitting the next-order coefficient of a counting series."""
+    """Outcome of fitting the next-order coefficient of a counting series; it
+    keeps the series and model and builds ``residual_series`` on first access."""
 
     second_coeff_estimate: float
-    residual_series: tuple[tuple[float, float], ...]
     sharp_verdict: bool
     tolerance_used: float
     trend_slope: float
+    series: CountingSeries = field(repr=False)
+    model: WeylModel
+
+    @cached_property
+    def residual_series(self) -> tuple[tuple[float, float], ...]:
+        return tuple((t, self.model.scaled_residual(t, c)) for t, c in self.series.samples)
 
 
 def remainder_fit(series: CountingSeries, model: WeylModel,
@@ -335,12 +340,10 @@ def remainder_fit(series: CountingSeries, model: WeylModel,
     if not 0.2 < ratio < 5.0:
         raise ValueError("series growth inconsistent with the model dimension")
 
-    c_lead, p, q = model.c_lead, model.n - 1, model.n - 2
-    residuals = tuple((t, (c - c_lead * t ** p) / t ** q) for t, c in samples)
-    estimate = residuals[-1][1]
-    trend = (residuals[-1][1] - residuals[0][1]) / (math.log(last) - math.log(first))
+    start, estimate = model.scaled_residual(*samples[0]), model.scaled_residual(last, last_count)
+    trend = (estimate - start) / (math.log(last) - math.log(first))
     tol = 0.1 * model.c_lead if tolerance is None else tolerance
-    return RemainderReport(estimate, residuals, abs(estimate) > tol, tol, trend)
+    return RemainderReport(estimate, abs(estimate) > tol, tol, trend, series, model)
 
 
 def gamma_identity_check(n: int) -> float:

@@ -9,12 +9,13 @@ to rational identities.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, islice
 from operator import add, gt
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 Exponent = tuple[int, ...]
 
@@ -270,17 +271,15 @@ def _degree_exponents(nvars: int, m: int) -> list[tuple[int, ...]]:
 
 
 def _harmonic_extension(n: int, start: int, beta: Exponent) -> HarmonicPoly:
-    # Solve Laplace's equation degree by degree in x_1: with p = sum_k x1^k c_k
-    # the harmonic constraint forces c_{k+2} = -lap(c_k) / ((k+1)(k+2)).
+    # Solve Laplace's equation degree by degree in x_1: with p = sum_k x1^k c_k, each
+    # c_k free of x_1, harmonicity forces c_{k+2} = -lap(c_k) / ((k+1)(k+2)).
     c = HarmonicPoly(n, {(0, *beta): Fraction(1)})
-    k = start
-    p = HarmonicPoly.monomial((k,) + (0,) * (n - 1)) * c
-    while True:
+    terms, k = {}, start
+    while not c.is_zero:
+        terms.update(((k, *alpha[1:]), coeff) for alpha, coeff in c.terms.items())
         c = c.laplacian() * Fraction(-1, (k + 1) * (k + 2))
         k += 2
-        if c.is_zero:
-            return p
-        p = p + HarmonicPoly.monomial((k,) + (0,) * (n - 1)) * c
+    return c._new(terms)
 
 
 def harmonic_basis(n: int, m: int, max_monomials: int = 200_000) -> list[HarmonicPoly]:
@@ -313,8 +312,7 @@ def harmonic_basis(n: int, m: int, max_monomials: int = 200_000) -> list[Harmoni
 # spectra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     """One eigenvalue with multiplicity; ``cube`` keeps the exact integer cube
     for eigenvalues that are only known as cube roots."""
 
@@ -323,25 +321,48 @@ class SpectrumEntry:
     cube: int | None = None
 
 
+class _Entries(Sequence):
+    """Read-only view of a spectrum's columns as ``SpectrumEntry`` records,
+    each built when it is read."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: tuple[tuple, ...]):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(SpectrumEntry, *(col[i] for col in self._columns)))
+        return SpectrumEntry(*(col[i] for col in self._columns))
+
+    def __iter__(self):
+        return map(SpectrumEntry, *self._columns)
+
+
 @dataclass(frozen=True)
 class Spectrum:
-    """Sorted eigenvalue/multiplicity list for one problem kind.
-
-    ``cumulative[i]`` counts the eigenvalues, with multiplicity, through
-    ``entries[i]``.  Either every entry carries its exact cube or none does.
-    """
+    """Sorted eigenvalues of one problem kind, stored as columns: ``values[i]``
+    has multiplicity ``mults[i]`` and exact integer cube ``cubes[i]``, or
+    ``cubes`` is None.  ``cumulative[i]`` counts the eigenvalues, with
+    multiplicity, through ``values[i]``.  ``entries`` is a read-only view that
+    builds each ``SpectrumEntry`` when read; the spectrum holds none."""
 
     problem: ProblemKind
     n: int
-    entries: tuple[SpectrumEntry, ...]
+    values: tuple[float, ...]
+    mults: tuple[int, ...]
+    cubes: tuple[int, ...] | None = None
     cumulative: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
-        values = [e.value for e in self.entries]
-        mults = [e.mult for e in self.entries]
-        cubes = [e.cube for e in self.entries]
+        values, mults, cubes = self.values, self.mults, self.cubes
+        if len(mults) != len(values) or (cubes is not None and len(cubes) != len(values)):
+            raise ValueError("values, multiplicities and cubes must have equal length")
         if min(mults, default=1) < 1:
             raise ValueError("multiplicities must be positive")
         # a NaN fails these comparisons, and once the values increase the
@@ -352,12 +373,13 @@ class Spectrum:
             raise ValueError("eigenvalues must be nonnegative")
         if values and self.problem is ProblemKind.NEUMANN_TRACE and not values[0] > 0:
             raise ValueError("problem-1 eigenvalues must be positive")
-        if None in cubes:
-            if cubes.count(None) != len(cubes):
-                raise ValueError("either every entry carries an exact cube or none does")
-        elif not all(map(gt, islice(cubes, 1, None), cubes)):
+        if cubes is not None and not all(map(gt, islice(cubes, 1, None), cubes)):
             raise ValueError("exact cubes must be strictly increasing")
         object.__setattr__(self, "cumulative", tuple(accumulate(mults)))
+
+    @property
+    def entries(self) -> Sequence[SpectrumEntry]:
+        return _Entries((self.values, self.mults) + (() if self.cubes is None else (self.cubes,)))
 
 
 def ball_spectrum_p1(n: int, m_max: int) -> Spectrum:
@@ -367,10 +389,9 @@ def ball_spectrum_p1(n: int, m_max: int) -> Spectrum:
         raise ValueError("need n >= 2")
     if m_max < 0:
         raise ValueError("need m_max >= 0")
-    entries = tuple(
-        SpectrumEntry(float(n + 2 * m), harmonic_dim(n, m)) for m in range(m_max + 1)
-    )
-    return Spectrum(ProblemKind.NEUMANN_TRACE, n, entries)
+    degrees = range(m_max + 1)
+    return Spectrum(ProblemKind.NEUMANN_TRACE, n, tuple([float(n + 2 * m) for m in degrees]),
+                    tuple([harmonic_dim(n, m) for m in degrees]))
 
 
 def disk_spectrum_p2(m_max: int) -> Spectrum:
@@ -378,9 +399,9 @@ def disk_spectrum_p2(m_max: int) -> Spectrum:
     eigenvalues whose exact cubes are 2 m^2 (m+1)."""
     if m_max < 0:
         raise ValueError("need m_max >= 0")
-    entries = tuple(SpectrumEntry(float(cube) ** (1.0 / 3.0), 2 if cube else 1, cube)
-                    for cube in [2 * m * m * (m + 1) for m in range(m_max + 1)])
-    return Spectrum(ProblemKind.DIRICHLET_TRACE, 2, entries)
+    cubes = tuple([2 * m * m * (m + 1) for m in range(m_max + 1)])
+    values = tuple([float(cube) ** (1.0 / 3.0) for cube in cubes])
+    return Spectrum(ProblemKind.DIRICHLET_TRACE, 2, values, (1,) + (2,) * m_max, cubes)
 
 
 def disk_spectrum_harmonic(m_max: int) -> Spectrum:
@@ -388,9 +409,8 @@ def disk_spectrum_harmonic(m_max: int) -> Spectrum:
     positive integer twice."""
     if m_max < 0:
         raise ValueError("need m_max >= 0")
-    entries = [SpectrumEntry(0.0, 1)]
-    entries += [SpectrumEntry(float(m), 2) for m in range(1, m_max + 1)]
-    return Spectrum(ProblemKind.HARMONIC_STEKLOV, 2, tuple(entries))
+    return Spectrum(ProblemKind.HARMONIC_STEKLOV, 2, tuple(map(float, range(m_max + 1))),
+                    (1,) + (2,) * m_max)
 
 
 # ---------------------------------------------------------------------------

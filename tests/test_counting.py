@@ -11,7 +11,6 @@ from bisteklov import (
     HomogeneousSymbol,
     ProblemKind,
     Spectrum,
-    SpectrumEntry,
     WeylModel,
     ball_count_closed,
     ball_spectrum_p1,
@@ -71,11 +70,10 @@ def _spectra(draw):
     if draw(st.booleans()):
         values = sorted(draw(st.sets(st.floats(1e-3, 1e3) | st.integers(1, 60).map(float),
                                      min_size=1, max_size=30)))
-        entries = [SpectrumEntry(v, draw(mults)) for v in values]
-        return Spectrum(P1, 2, tuple(entries))
+        return Spectrum(P1, 2, tuple(values), tuple(draw(mults) for _ in values))
     cubes = sorted(draw(st.sets(st.integers(0, 10 ** 6), min_size=1, max_size=30)))
-    entries = [SpectrumEntry(float(c) ** (1.0 / 3.0), draw(mults), c) for c in cubes]
-    return Spectrum(P2, 2, tuple(entries))
+    return Spectrum(P2, 2, tuple(float(c) ** (1.0 / 3.0) for c in cubes),
+                    tuple(draw(mults) for _ in cubes), tuple(cubes))
 
 
 @given(_spectra())
@@ -362,6 +360,25 @@ def test_remainder_fit_residuals_are_the_scaled_gaps(n):
     series = ball_series(n, 300)
     expected = tuple((t, (c - model.predicted(t)) / t ** (n - 2)) for t, c in series.samples)
     assert remainder_fit(series, model).residual_series == expected
+
+
+def _spectrum_series(spectrum):
+    return CountingSeries(tuple((t, c) for t, c in zip(spectrum.values, spectrum.cumulative)
+                                if t > 0))
+
+
+@pytest.mark.parametrize("problem, n, spectrum", [
+    *[(P1, n, ball_spectrum_p1(n, 300)) for n in (2, 3, 4, 5)],
+    (P2, 2, disk_spectrum_p2(20_000)),
+])
+def test_remainder_fit_estimates_are_the_endpoints_of_the_residual_series(problem, n, spectrum):
+    report = remainder_fit(_spectrum_series(spectrum), WeylModel(problem, n, sphere_area(n)))
+    assert "residual_series" not in vars(report)  # built on first access
+    (first, start), (last, end) = report.residual_series[0], report.residual_series[-1]
+    assert report.second_coeff_estimate.hex() == end.hex()
+    trend = (end - start) / (math.log(last) - math.log(first))
+    assert report.trend_slope.hex() == trend.hex()
+    assert report.residual_series is report.residual_series
 
 
 def test_remainder_fit_validation():

@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from bisteklov import (
     radial_verify_p2,
     verify_ball_eigenpair,
 )
+from bisteklov.spectra import _degree_exponents
 
 
 # ---------------------------------------------------------------------------
@@ -338,26 +340,89 @@ def test_disk_harmonic_examples():
 
 def test_spectrum_invariants():
     with pytest.raises(ValueError):
-        Spectrum(ProblemKind.HARMONIC_STEKLOV, 2,
-                 (SpectrumEntry(1.0, 1), SpectrumEntry(1.0, 1)))
+        Spectrum(ProblemKind.HARMONIC_STEKLOV, 2, (1.0, 1.0), (1, 1))
     with pytest.raises(ValueError):
-        Spectrum(ProblemKind.NEUMANN_TRACE, 2, (SpectrumEntry(0.0, 1),))
+        Spectrum(ProblemKind.NEUMANN_TRACE, 2, (0.0,), (1,))
     with pytest.raises(ValueError):
-        Spectrum(ProblemKind.HARMONIC_STEKLOV, 2, (SpectrumEntry(1.0, 0),))
+        Spectrum(ProblemKind.HARMONIC_STEKLOV, 2, (1.0,), (0,))
     with pytest.raises(ValueError):
-        Spectrum(ProblemKind.HARMONIC_STEKLOV, 2, (SpectrumEntry(-1.0, 1),))
+        Spectrum(ProblemKind.HARMONIC_STEKLOV, 2, (-1.0,), (1,))
     with pytest.raises(ValueError, match="nonnegative"):
-        Spectrum(ProblemKind.HARMONIC_STEKLOV, 2, (SpectrumEntry(math.nan, 1),))
-    with pytest.raises(ValueError, match="every entry carries an exact cube or none"):
-        Spectrum(ProblemKind.DIRICHLET_TRACE, 2,
-                 (SpectrumEntry(0.0, 1, 0), SpectrumEntry(1.0, 2)))
+        Spectrum(ProblemKind.HARMONIC_STEKLOV, 2, (math.nan,), (1,))
     with pytest.raises(ValueError, match="exact cubes must be strictly increasing"):
-        Spectrum(ProblemKind.DIRICHLET_TRACE, 2,
-                 (SpectrumEntry(0.0, 1, 5), SpectrumEntry(1.0, 2, 4)))
+        Spectrum(ProblemKind.DIRICHLET_TRACE, 2, (0.0, 1.0), (1, 2), (5, 4))
     with pytest.raises(ValueError):
         ball_spectrum_p1(1, 3)
     with pytest.raises(ValueError):
         disk_spectrum_p2(-1)
+
+
+def test_spectrum_columns_must_have_equal_length():
+    for columns in [((1.0, 2.0), (1,)), ((1.0,), (1, 2)),
+                    ((0.0, 1.0), (1, 2), (0,)), ((0.0,), (1,), (0, 4))]:
+        with pytest.raises(ValueError, match="equal length"):
+            Spectrum(ProblemKind.DIRICHLET_TRACE, 2, *columns)
+
+
+def _closed_form_entries(name, m_max):
+    """Reference (value, multiplicity, cube) records from the closed forms."""
+    if name == "p1":
+        return [(float(3 + 2 * m), harmonic_dim(3, m), None) for m in range(m_max + 1)]
+    if name == "p2":
+        return [(float(c) ** (1.0 / 3.0), 2 if c else 1, c)
+                for c in [2 * m * m * (m + 1) for m in range(m_max + 1)]]
+    return [(0.0, 1, None)] + [(float(m), 2, None) for m in range(1, m_max + 1)]
+
+
+@pytest.mark.parametrize("name, build", [
+    ("p1", lambda m_max: ball_spectrum_p1(3, m_max)),
+    ("p2", disk_spectrum_p2),
+    ("harmonic", disk_spectrum_harmonic),
+])
+def test_spectrum_entries_view(name, build):
+    s = build(40)
+    ref = _closed_form_entries(name, 40)
+    view = s.entries
+    assert len(view) == len(s.values) == 41
+    assert list(view) == ref
+    assert all(type(e) is SpectrumEntry for e in view)
+    assert view[0] == ref[0] and view[7] == ref[7] and view[-1] == ref[-1]
+    assert view[-41] == ref[0] and view[2:5] == tuple(ref[2:5])
+    assert (view[-1].value, view[-1].mult, view[-1].cube) == ref[-1]
+    with pytest.raises(IndexError):
+        view[41]
+    assert list(reversed(view)) == ref[::-1] and ref[3] in view
+
+
+@pytest.mark.parametrize("spectrum", [ball_spectrum_p1(3, 50), disk_spectrum_p2(50),
+                                      disk_spectrum_harmonic(50)])
+def test_spectrum_holds_no_entry_records(spectrum):
+    fields = [getattr(spectrum, f) for f in ("values", "mults", "cubes", "cumulative")]
+    assert not any(type(x) is SpectrumEntry for f in fields for x in gc.get_referents(f))
+    assert not any(type(x) is SpectrumEntry for x in gc.get_referents(vars(spectrum)))
+
+
+def test_harmonic_basis_matches_the_public_constructor_build():
+    def reference(n, start, beta):
+        # the build through the public constructor, one checked product per x_1-degree
+        c = HarmonicPoly(n, {(0, *beta): Fraction(1)})
+        k = start
+        p = HarmonicPoly.monomial((k,) + (0,) * (n - 1)) * c
+        while True:
+            c = c.laplacian() * Fraction(-1, (k + 1) * (k + 2))
+            k += 2
+            if c.is_zero:
+                return p
+            p = p + HarmonicPoly.monomial((k,) + (0,) * (n - 1)) * c
+
+    for n, m in [(2, 0), (2, 5), (3, 4), (4, 3), (5, 4)]:
+        expected = [reference(n, start, beta) for start in (0, 1) if m >= start
+                    for beta in _degree_exponents(n - 1, m - start)]
+        got = harmonic_basis(n, m)
+        assert got == expected
+        for p, q in zip(got, expected):
+            assert list(p.terms.items()) == list(q.terms.items())
+            assert all(type(c) is Fraction for c in p.terms.values())
 
 
 def test_spectrum_cumulative_counts():
