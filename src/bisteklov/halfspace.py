@@ -11,6 +11,7 @@ quadrature.  Tests play the routes against one another.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,7 +275,7 @@ def kernel_K(A: MetricBlock, which: str, x, x_n: float, quad_points: int = 256) 
 # boundary-data solves: kernel convolution vs Fourier synthesis
 # ---------------------------------------------------------------------------
 
-def _check_boundary_data(y: np.ndarray, phi: np.ndarray, h: np.ndarray):
+def _check_boundary_data(y: np.ndarray, phi: np.ndarray, h: np.ndarray, points):
     y = np.asarray(y, dtype=float)
     phi = np.zeros_like(y) if phi is None else np.asarray(phi, dtype=float)
     h = np.zeros_like(y) if h is None else np.asarray(h, dtype=float)
@@ -283,12 +284,15 @@ def _check_boundary_data(y: np.ndarray, phi: np.ndarray, h: np.ndarray):
     if phi.shape != y.shape or h.shape != y.shape:
         raise ValueError("data arrays must match the sample grid")
     dy = np.diff(y)
-    if not np.allclose(dy, dy[0], rtol=1e-12, atol=0.0):
-        raise ValueError("sample grid must be uniform")
+    if not (dy[0] > 0 and np.allclose(dy, dy[0], rtol=1e-12, atol=0.0)):
+        raise ValueError("sample grid must be uniform and increasing")
     for name, data in (("phi", phi), ("h", h)):
         if max(abs(data[0]), abs(data[-1])) > 1e-12:
             raise ValueError(f"support violation: {name} is nonzero at the window edge")
-    return y, phi, h, float(dy[0])
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("evaluation points must be finite")
+    return y, phi, h, float(dy[0]), pts
 
 
 _KERNEL_BLOCK = 1 << 16  # (point, sample) pairs per kernel evaluation block
@@ -306,8 +310,7 @@ def solve_by_kernel(A: MetricBlock, y, phi, h, points) -> np.ndarray:
     """
     if A.dim != 2:
         raise ValueError("kernel convolution is implemented for the half-plane")
-    y, phi, h, dy = _check_boundary_data(y, phi, h)
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    y, phi, h, dy, pts = _check_boundary_data(y, phi, h, points)
     if np.any(pts[:, 1] < _MIN_XN):
         raise ValueError(f"evaluation points need x_n >= {_MIN_XN}")
     out = np.zeros(pts.shape[0])
@@ -353,14 +356,15 @@ def _chirp_z(data: np.ndarray, y: np.ndarray, etas: np.ndarray) -> np.ndarray:
     samples, count = y.size, etas.size
     jc, kc = (samples - 1) // 2, (count - 1) // 2
     dy = (y[-1] - y[0]) / (samples - 1)
-    alpha = (etas[-1] - etas[0]) / (count - 1) * dy
+    alpha = (etas[-1] - etas[0]) / max(count - 1, 1) * dy
     j, k = np.arange(samples) - jc, np.arange(count) - kc
     lags = np.arange(1 - samples, count)
     # etas[k] y[j] = etas[k] y[jc] + etas[kc] j dy + alpha k j,  2 k j = k^2 + j^2 - (k - j)^2;
     # every |k|, |j| and |k - j| is some |lag - kc + jc|
     chirp = _chirp(alpha, np.arange(max(samples - 1 + kc - jc, count - 1 - kc + jc) + 1))
     pre = data * (chirp[np.abs(j)] * np.exp(-1j * etas[kc] * dy * j))
-    size = 1 << (samples + count - 2).bit_length()  # power of two >= samples + count - 1
+    # the least m 2^e >= samples + count - 1 for m in 1, 3, 5, 9, 15: a fast FFT length
+    size = min(m << ((samples + count - 2) // m).bit_length() for m in (1, 3, 5, 9, 15))
     kernel = np.zeros(size, dtype=complex)
     kernel[lags] = chirp[np.abs(lags - kc + jc)].conj()  # negative lags wrap around
     conv = np.fft.ifft(np.fft.fft(pre, size) * np.fft.fft(kernel), axis=-1)[..., :count]
@@ -372,33 +376,46 @@ def fourier_synthesis(A: MetricBlock, y, phi, h, points, eta_max: float = 40.0,
     """Solve the same problem from the Fourier side.
 
     Applies the exact normal-variable profiles to the discrete transform of
-    the boundary data and inverts by trapezoid quadrature on a frequency
-    interval wide enough for the exponential decay to wash out.  The transform
-    treats ``y`` as exactly uniform, with the step taken from its ends; a grid
-    whose steps differ by the relative 1e-12 the input check allows shifts the
-    transform by up to about eta_max * (y[-1] - y[0]) * 1e-12.
+    the boundary data and inverts by trapezoid quadrature on ``eta_points``
+    nodes of [-eta_max, eta_max].  Real data and even profiles let it sum the
+    nodes eta >= 0 only, with folded weights; there the integrand is
+    (a + x_n b) exp(i eta z), z = x' + i sqrt(a_tan/a_nn) x_n, with a and b free
+    of the point, and a power table exp(i (64 o + j + off) deta z) = G_o g_j
+    evaluates it per block of points.  The sum has period 2 pi / deta in x':
+    points with |x' - window middle| >= pi / deta are refused as aliased.
+    ``y`` is taken as exactly uniform, its step from its ends; steps that differ
+    by the relative 1e-12 the input check allows shift the transform by up to
+    about eta_max * (y[-1] - y[0]) * 1e-12.
     """
     if A.dim != 2:
         raise ValueError("fourier synthesis is implemented for the half-plane")
-    y, phi, h, dy = _check_boundary_data(y, phi, h)
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    y, phi, h, dy, pts = _check_boundary_data(y, phi, h, points)
     if np.any(pts[:, 1] <= 0):
         raise ValueError("evaluation points need x_n > 0")
+    eta_points = operator.index(eta_points)  # a TypeError for a float count
     if not (eta_points >= 2 and 0.0 < eta_max < math.inf):
         raise ValueError("need eta_points >= 2 and a finite eta_max > 0")
+    deta = 2.0 * eta_max / (eta_points - 1)
+    if np.any(np.abs(pts[:, 0] - 0.5 * (y[0] + y[-1])) >= math.pi / deta):
+        raise ValueError(f"aliasing: need |x' - window middle| < pi / deta = {math.pi / deta:.6g}")
 
-    etas = np.linspace(-eta_max, eta_max, eta_points)
-    deta = etas[1] - etas[0]
-    w = np.full(eta_points, deta)
-    w[0] = w[-1] = 0.5 * deta
+    # eta_k = (k + off) deta >= 0, padded to whole rows of 64 nodes; the full grid's
+    # trapezoid weights folded over: 2 deta, deta at eta = 0 and at the end, 0 on the padding
+    count = (eta_points + 1) // 2
+    k = np.arange(-(-count // 64) * 64)
+    etas = (k + 0.5 * (1 - eta_points % 2)) * deta
+    w = deta * ((k < count).astype(float) + (k < count - 1) - (etas == 0))
+    phi_hat, h_hat = (dy * _chirp_z(d, y, etas) if d.any() else 0.0 for d in (phi, h))
+    r = math.sqrt(float(A.a_tan[0, 0]) / A.a_nn)
+    ab = np.stack([w * phi_hat, w * (h_hat / math.sqrt(A.a_nn) + r * etas * phi_hat)], axis=1)
+    ab = ab.reshape(-1, 128)  # row o: the (a, b) pairs of the nodes 64 o + j
 
-    phi_hat, h_hat = dy * _chirp_z(np.stack([phi, h]), y, etas)
-    rate = math.sqrt(float(A.a_tan[0, 0]) / A.a_nn) * np.abs(etas)
-
-    out = np.zeros(pts.shape[0])
-    for i, (xp, xn) in enumerate(pts):
-        decay = np.exp(-rate * xn)
-        profile = (h_hat * (xn / math.sqrt(A.a_nn)) * decay
-                   + phi_hat * decay * (1.0 + rate * xn))
-        out[i] = (w * profile * np.exp(1j * etas * xp)).sum().real / (2.0 * math.pi)
-    return out
+    z = pts[:, 0] + 1j * r * pts[:, 1]
+    out = np.empty(z.size)
+    rows = max(1, _KERNEL_BLOCK // (len(ab) + 192))  # temporaries near 1 MB
+    for start in range(0, z.size, rows):
+        zb = z[start:start + rows, None]
+        big, small = np.exp(1j * 64 * deta * np.arange(len(ab)) * zb), np.exp(1j * etas[:64] * zb)
+        sums = np.einsum("pjc,pj->cp", (big @ ab).reshape(zb.size, 64, 2), small)
+        out[start:start + rows] = (sums[0] + pts[start:start + rows, 1] * sums[1]).real
+    return out / (2.0 * math.pi)

@@ -360,21 +360,28 @@ class Spectrum:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
-        values, mults, cubes = self.values, self.mults, self.cubes
+        # tuple() returns a tuple column as it is and freezes any other sequence
+        values, mults = tuple(self.values), tuple(self.mults)
+        cubes = None if self.cubes is None else tuple(self.cubes)
         if len(mults) != len(values) or (cubes is not None and len(cubes) != len(values)):
             raise ValueError("values, multiplicities and cubes must have equal length")
-        if min(mults, default=1) < 1:
-            raise ValueError("multiplicities must be positive")
-        # a NaN fails these comparisons, and once the values increase the
-        # first one is the least
-        if not all(map(gt, islice(values, 1, None), values)):
-            raise ValueError("eigenvalues must be strictly increasing")
-        if values and not values[0] >= 0:
-            raise ValueError("eigenvalues must be nonnegative")
-        if values and self.problem is ProblemKind.NEUMANN_TRACE and not values[0] > 0:
-            raise ValueError("problem-1 eigenvalues must be positive")
-        if cubes is not None and not all(map(gt, islice(cubes, 1, None), cubes)):
-            raise ValueError("exact cubes must be strictly increasing")
+        try:
+            if min(mults, default=1) < 1:
+                raise ValueError("multiplicities must be positive")
+            # a NaN fails these comparisons, and once the values increase the
+            # first one is the least
+            if not all(map(gt, islice(values, 1, None), values)):
+                raise ValueError("eigenvalues must be strictly increasing")
+            if values and not values[0] >= 0:
+                raise ValueError("eigenvalues must be nonnegative")
+            if values and self.problem is ProblemKind.NEUMANN_TRACE and not values[0] > 0:
+                raise ValueError("problem-1 eigenvalues must be positive")
+            if cubes is not None and not all(map(gt, islice(cubes, 1, None), cubes)):
+                raise ValueError("exact cubes must be strictly increasing")
+        except TypeError:  # None or another entry that does not compare with numbers
+            raise ValueError("spectrum columns must hold numbers") from None
+        for name, column in (("values", values), ("mults", mults), ("cubes", cubes)):
+            object.__setattr__(self, name, column)
         object.__setattr__(self, "cumulative", tuple(accumulate(mults)))
 
     @property

@@ -245,11 +245,30 @@ def test_halfspace_validation(capsys):
     (("halfspace", "--h", "1e160", "--levels", "1"), "integer multiple (>= 8) of h"),
     (("halfspace", "--L", "1e300", "--h", "1e299", "--levels", "1"), "h * |xi'| <= 1"),
     (("halfspace", "--L", "1.79e308", "--h", "1e307", "--levels", "1"), "finite L/h"),
+    (("halfspace", "--mode", "kernel", "--samples", "16", "--xn", "nan"), "xn must be finite"),
 ])
 def test_non_finite_values_exit_2(capsys, argv, message):
     with np.errstate(over="ignore", under="ignore"):
         code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize("L", ["643.4", "1300", "1e308"])
+def test_kernel_mode_refuses_aliased_windows_exit_2(capsys, L):
+    # the Fourier route repeats with period 643.4 in x', and kernel mode
+    # evaluates at the samples, L/2 either side of the window middle
+    with np.errstate(over="ignore"):  # the Gaussian data of --L 1e308
+        code, out, err = run_cli(capsys, "halfspace", "--mode", "kernel", "--samples", "16",
+                                 "--L", L)
+    assert code == 2 and out == "" and "pi / deta = 321.699" in err
+
+
+def test_kernel_mode_window_just_inside_the_alias_bound(capsys):
+    code, out, _ = run_cli(capsys, "halfspace", "--mode", "kernel", "--samples", "16",
+                           "--L", "643.39")
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header == ["x", "kernel", "fourier", "abs_error"] and float(rows[0][0]) == -321.695
 
 
 @pytest.mark.parametrize("argv, message", [

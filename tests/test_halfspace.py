@@ -487,6 +487,14 @@ def test_fourier_synthesis_rejects_bad_frequency_grids(eta_max, eta_points):
                           eta_max=eta_max, eta_points=eta_points)
 
 
+@pytest.mark.parametrize("eta_points", [8193.0, 8193.5])
+def test_fourier_synthesis_refuses_a_float_node_count(eta_points):
+    y = np.linspace(-6, 6, 32)
+    with pytest.raises(TypeError):
+        fourier_synthesis(MetricBlock.identity(2), y, None, np.exp(-(y**2)), [(0.0, 1.0)],
+                          eta_points=eta_points)
+
+
 @pytest.mark.parametrize("use_phi, use_h", [(True, False), (False, True), (True, True)])
 def test_solve_by_kernel_equals_kernel_double_loop(use_phi, use_h):
     # the array route against the defining sum over (point, sample) pairs
@@ -520,14 +528,113 @@ def test_solve_by_kernel_blocks_agree_with_single_points():
     assert np.allclose(together, alone, rtol=0.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("eta_points", [513, 8193])
-def test_chirp_z_equals_direct_transform(eta_points):
-    # off-centre sample grid, two stacked data rows
+def _half_grid(eta_points, eta_max=40.0):
+    # the nodes eta >= 0 of np.linspace(-eta_max, eta_max, eta_points)
+    deta = 2.0 * eta_max / (eta_points - 1)
+    return (np.arange((eta_points + 1) // 2) + 0.5 * (1 - eta_points % 2)) * deta
+
+
+@pytest.mark.parametrize("eta_points, half", [
+    (513, False), (8193, False), (513, True), (2048, True), (8193, True)],
+    ids=["513", "8193", "half-513", "half-2048", "half-8193"])
+def test_chirp_z_equals_direct_transform(eta_points, half):
+    # off-centre sample grid, two stacked data rows; the full symmetric
+    # frequency grid or its nonnegative half
     y = np.linspace(-3.0, 9.0, 96)
     data = np.stack([np.exp(-((y - 2.0) ** 2)), np.exp(-((y - 4.0) ** 2)) * np.cos(3.0 * y)])
-    etas = np.linspace(-40.0, 40.0, eta_points)
+    etas = _half_grid(eta_points) if half else np.linspace(-40.0, 40.0, eta_points)
     direct = data @ np.exp(-1j * np.outer(etas, y)).T
     assert np.max(np.abs(_chirp_z(data, y, etas) - direct)) < 1e-12
+
+
+def _full_grid_synthesis(A, y, phi, h, points, eta_max, eta_points):
+    # the defining trapezoid sum over the whole symmetric grid, one point at a
+    # time; the step is 2 eta_max / (eta_points - 1), since etas[1] - etas[0]
+    # carries the rounding of -eta_max + deta (a relative 7e-13 at 8192 nodes)
+    etas = np.linspace(-eta_max, eta_max, eta_points)
+    w = np.full(eta_points, 2.0 * eta_max / (eta_points - 1))
+    w[0] = w[-1] = 0.5 * w[0]
+    dy = y[1] - y[0]
+    zero = np.zeros_like(y)
+    transform = dy * np.exp(-1j * np.outer(etas, y))
+    phi_hat = transform @ (zero if phi is None else phi)
+    h_hat = transform @ (zero if h is None else h)
+    rate = math.sqrt(A.a_tan[0, 0] / A.a_nn) * np.abs(etas)
+    out = []
+    for xp, xn in points:
+        decay = np.exp(-rate * xn)
+        profile = h_hat * xn / math.sqrt(A.a_nn) * decay + phi_hat * decay * (1.0 + rate * xn)
+        out.append((w * profile * np.exp(1j * etas * xp)).sum().real / (2.0 * math.pi))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("eta_points", [513, 2048, 8193])
+@pytest.mark.parametrize("use_phi, use_h", [(True, False), (False, True), (True, True)])
+def test_fourier_synthesis_equals_full_grid_sum(eta_points, use_phi, use_h):
+    # 700 points span at least two evaluation blocks at every grid size, from
+    # near the boundary to far above it, across the whole unaliased window
+    # around the off-centre window middle 2
+    A = MetricBlock(np.array([[2.2]]), 1.4)
+    y = np.linspace(-10.0, 14.0, 96)
+    phi = np.exp(-((y - 2.5) ** 2)) if use_phi else None
+    h = np.exp(-((y - 1.0) ** 2)) * np.cos(y) if use_h else None
+    reach = 0.99 * math.pi * (eta_points - 1) / 80.0
+    rng = np.random.default_rng(eta_points)
+    pts = np.column_stack([2.0 + rng.uniform(-reach, reach, 700), rng.uniform(0.01, 3.0, 700)])
+    got = fourier_synthesis(A, y, phi, h, pts, eta_points=eta_points)
+    expected = _full_grid_synthesis(A, y, phi, h, pts, 40.0, eta_points)
+    assert np.max(np.abs(got - expected)) < 1e-13
+
+
+def test_fourier_synthesis_of_two_frequency_nodes():
+    # eta_points = 2 leaves the single half-grid node eta_max; a narrow pulse
+    # keeps its transform there well above rounding
+    A = MetricBlock.identity(2)
+    y = np.linspace(-2.0, 2.0, 401)
+    data = np.exp(-((y / 0.05) ** 2))
+    pts = [(0.0, 0.05), (0.02, 0.1)]
+    got = fourier_synthesis(A, y, data, data, pts, eta_points=2)
+    expected = _full_grid_synthesis(A, y, data, data, pts, 40.0, 2)
+    assert np.all(np.abs(got) > 1e-3)
+    assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("xp", [643.4, -643.4, 600.0, 321.7, 1e300])
+def test_fourier_synthesis_refuses_aliased_points(xp):
+    # the trapezoid sum has period 2 pi / deta = 643.4 in x' at the defaults:
+    # at x' = 643.4 it would return its value at x' = 0, 0.4276, where the
+    # kernel route gives 1.4e-6
+    A = MetricBlock.identity(2)
+    y = np.linspace(-15.0, 15.0, 128)
+    data = np.exp(-(y**2))
+    with pytest.raises(ValueError, match=r"pi / deta = 321\.699"):
+        fourier_synthesis(A, y, None, data, [(0.0, 1.0), (xp, 1.0)])
+
+
+def test_fourier_alias_bound_is_measured_from_the_window_middle():
+    A = MetricBlock.identity(2)
+    y = np.linspace(-15.0, 15.0, 128)
+    data = np.exp(-(y**2))
+    at_middle = solve_by_kernel(A, y, None, data, [(0.0, 1.0)])[0]
+    for shift in (600.0, 643.4, -643.4):
+        got = fourier_synthesis(A, y + shift, None, data, [(shift, 1.0)])[0]
+        assert abs(got - at_middle) < 1e-5
+    edge = [(321.6, 1.0), (-321.6, 1.0)]
+    assert np.allclose(fourier_synthesis(A, y, None, data, edge),
+                       solve_by_kernel(A, y, None, data, edge), rtol=0.0, atol=1e-5)
+    with pytest.raises(ValueError, match=r"pi / deta = 20\.1062"):
+        fourier_synthesis(A, y, None, data, [(20.2, 1.0)], eta_points=513)
+
+
+@pytest.mark.parametrize("point", [(0.0, math.nan), (math.nan, 1.0), (math.inf, 1.0),
+                                   (-math.inf, 1.0), (0.0, math.inf)])
+@pytest.mark.parametrize("route", [solve_by_kernel, fourier_synthesis])
+def test_boundary_solves_refuse_non_finite_points(route, point):
+    A = MetricBlock.identity(2)
+    y = np.linspace(-6.0, 6.0, 32)
+    data = np.exp(-(y**2))
+    with pytest.raises(ValueError, match="evaluation points must be finite"):
+        route(A, y, data, data, [(0.0, 1.0), point])
 
 
 def test_fourier_synthesis_memory_stays_linear():
@@ -544,3 +651,14 @@ def test_fourier_synthesis_memory_stays_linear():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+@pytest.mark.parametrize("grid", [np.full(32, 3.0), np.linspace(6.0, -6.0, 32)],
+                         ids=["constant", "descending"])
+@pytest.mark.parametrize("route", [solve_by_kernel, fourier_synthesis])
+def test_boundary_solves_refuse_degenerate_grids(route, grid):
+    # a zero step passed the uniformity check and gave 0.0, a negative one the
+    # negated solution
+    data = np.exp(-(grid**2))
+    with pytest.raises(ValueError, match="uniform and increasing"):
+        route(MetricBlock.identity(2), grid, None, data, [(0.0, 1.0)])

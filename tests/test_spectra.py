@@ -364,6 +364,24 @@ def test_spectrum_columns_must_have_equal_length():
             Spectrum(ProblemKind.DIRICHLET_TRACE, 2, *columns)
 
 
+@pytest.mark.parametrize("columns", [
+    ((0.0, 1.0), (1, 2), (0, None)), ((0.0, None), (1, 2)), ((0.0, 1.0), (None, 2)),
+    ((0.0, "1"), (1, 2))])
+def test_spectrum_refuses_entries_that_are_not_numbers(columns):
+    with pytest.raises(ValueError, match="spectrum columns must hold numbers"):
+        Spectrum(ProblemKind.DIRICHLET_TRACE, 2, *columns)
+
+
+def test_spectrum_freezes_list_columns():
+    from_lists = Spectrum(ProblemKind.DIRICHLET_TRACE, 2, [0.0, 1.0], [1, 2], [0, 4])
+    from_tuples = Spectrum(ProblemKind.DIRICHLET_TRACE, 2, (0.0, 1.0), (1, 2), (0, 4))
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    assert all(type(c) is tuple for c in (from_lists.values, from_lists.mults, from_lists.cubes))
+    # a tuple column is kept as it is
+    values = (0.0, 1.0)
+    assert Spectrum(ProblemKind.DIRICHLET_TRACE, 2, values, (1, 2)).values is values
+
+
 def _closed_form_entries(name, m_max):
     """Reference (value, multiplicity, cube) records from the closed forms."""
     if name == "p1":
