@@ -20,13 +20,9 @@ from .spectra import (
 from .symbols import (
     BoundaryMetric,
     HomogeneousSymbol,
-    ellipsoidal_symbol,
-    f_symbol,
     quadratic_form,
     reciprocal_weight_symbol,
     steklov_symbol,
-    symbol_F,
-    symbol_Theta,
     symbol_compose,
     symbol_steklov,
     theta_symbol,

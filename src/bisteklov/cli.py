@@ -162,10 +162,10 @@ _ALL = ("spectrum", "weyl", "halfspace", "symbol", "identity-check")
 # Every setting once: the flag --name (underscores as dashes) and config-file
 # key, the type that casts it, its default, the commands that read it, its
 # bound (a predicate and the condition it states), its choices and the
-# halfspace modes that take it (bvp mode takes and ignores the kernel flags);
+# halfspace modes that read it (a flag given in the other mode is refused);
 # float settings must be finite.  A command takes exactly the settings that
 # name it, and the filled argparse namespace is its run configuration.
-_BVP = ("bvp",)
+_BVP, _KERNEL = ("bvp",), ("kernel",)
 _SETTINGS = {
     "problem": _Setting(str, "p1", ("spectrum", "weyl", "halfspace", "symbol"),
                         choices=tuple(sorted(p.value for p in ProblemKind)), modes=_BVP),
@@ -183,8 +183,9 @@ _SETTINGS = {
     "levels": _Setting(int, 4, ("halfspace",), (lambda v: 1 <= v <= 32, "1 <= levels <= 32"),
                        modes=_BVP),
     "points": _Setting(int, 72, ("symbol",), (lambda v: v >= 1, "points >= 1")),
-    "samples": _Setting(int, 128, ("halfspace",), (lambda v: v >= 4, "samples >= 4")),
-    "xn": _Setting(float, 1.0, ("halfspace",), (lambda v: v > 0, "xn > 0")),
+    "samples": _Setting(int, 128, ("halfspace",), (lambda v: v >= 4, "samples >= 4"),
+                        modes=_KERNEL),
+    "xn": _Setting(float, 1.0, ("halfspace",), (lambda v: v > 0, "xn > 0"), modes=_KERNEL),
     # None: the identity block; any integer, 0 included, seeds a block
     "seed": _Setting(int, None, ("halfspace",), modes=_BVP),
     "mode": _Setting(str, "bvp", ("halfspace",), choices=("bvp", "kernel")),
@@ -263,8 +264,6 @@ def _build_config(cfg: argparse.Namespace) -> argparse.Namespace:
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
@@ -369,8 +368,7 @@ def _halfspace_bvp(cfg: argparse.Namespace) -> None:
               ProblemKind.DIRICHLET_TRACE: halfspace.bvp_solve_p2}.get(cfg.problem)
     if solver is None:
         raise ValueError("halfspace solvers exist for p1 and p2 only")
-    metric = symbols.BoundaryMetric.constant(block.a_tan)
-    target = symbols.principal_symbol(cfg.problem, metric)(None, eta)
+    target = symbols.steklov_symbol(cfg.problem, symbols.BoundaryMetric(block.a_tan))(None, eta)
 
     rate = halfspace.xi_norm(block, eta)
     rows, errors = [], []
@@ -397,7 +395,8 @@ def _halfspace_kernel(cfg: argparse.Namespace) -> None:
         raise ValueError("kernel mode runs on the half-plane (n = 2)")
     block = halfspace.MetricBlock.identity(2)
     y = np.linspace(-cfg.L / 2.0, cfg.L / 2.0, cfg.samples)
-    data = np.exp(-(y ** 2))
+    with np.errstate(over="ignore"):  # y^2 past the double range: exp(-inf) = 0 is the datum
+        data = np.exp(-(y ** 2))
     points = [(float(x), cfg.xn) for x in y]
     via_kernel = halfspace.solve_by_kernel(block, y, None, data, points)
     via_fourier = halfspace.fourier_synthesis(block, y, np.zeros_like(y), data, points)
@@ -430,7 +429,7 @@ def cmd_symbol(cfg: argparse.Namespace) -> None:
         rho = expr.fn(theta)
         if rho < 0:
             raise ValueError(f"weight is negative at theta={theta:.6g}")
-        value = symbols.symbol_steklov(cfg.problem, metric, weight, theta, eta)
+        value = sublevel(theta, eta)
         volume = counting.hormander_phase_volume(sublevel, theta)
         rows.append([theta, rho, value, volume])
     integral = counting.boundary_integral(weight, cfg.n, cfg.panels)

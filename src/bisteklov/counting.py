@@ -259,7 +259,7 @@ def phase_volume_montecarlo(symbol: HomogeneousSymbol, x, samples: int,
         raise ValueError("need samples > 0")
     _require_ellipsoidal(symbol)
     _homogeneity_probe(symbol, x)
-    g = symbol.metric.matrix_at(x)
+    g = symbol.metric.matrix
     dim = symbol.metric.dim
     radius = symbol.coeff(x) ** (-1.0 / symbol.degree)
     half = radius * np.sqrt(np.diag(np.linalg.inv(g)))

@@ -90,7 +90,8 @@ def xi_norm(A: MetricBlock, eta) -> float:
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     if eta.shape != (A.dim - 1,):
         raise ValueError(f"covector must have {A.dim - 1} components")
-    rate = math.sqrt(float(eta @ A.a_tan @ eta) / A.a_nn)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below refuses inf and nan
+        rate = math.sqrt(float(eta @ A.a_tan @ eta) / A.a_nn)
     if not 0.0 < rate < math.inf:
         raise ValueError("covector must be nonzero and finite, with a norm in double range")
     return rate

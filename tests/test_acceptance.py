@@ -47,8 +47,7 @@ def ladder(solver, block, eta, base_factor):
     datum = bs.FourierDatum(eta)
     errors = []
     metric = bs.BoundaryMetric.constant(block.a_tan)
-    target = (bs.symbol_F(metric, None, eta) if solver is bs.bvp_solve_p1
-              else bs.symbol_Theta(metric, None, eta))
+    target = bs.steklov_symbol(P1 if solver is bs.bvp_solve_p1 else P2, metric)(None, eta)
     for level in (8, 4, 2, 1):
         h = level / (base_factor * k)
         steps = max(8, math.ceil((30.0 / k) / h))
@@ -205,7 +204,9 @@ def test_criterion_11_symbol_composition():
     metric = bs.BoundaryMetric.constant(random_block(1111)[0].a_tan)
     dim = metric.dim
     weight = bs.unit_circle_weight(lambda t: 1.3 + 0.7 * math.sin(t), epsilon=0.05)
-    composed = bs.symbol_compose(bs.reciprocal_weight_symbol(weight), bs.f_symbol(metric))
+    unweighted = bs.steklov_symbol(P1, metric)
+    weighted = bs.steklov_symbol(P1, metric, weight)
+    composed = bs.symbol_compose(bs.reciprocal_weight_symbol(weight), unweighted)
     assert composed.degree == 1.0
     for _ in range(1000):
         x = float(rng.uniform(0.0, 2.0 * math.pi))
@@ -213,6 +214,6 @@ def test_criterion_11_symbol_composition():
         if not np.any(eta):
             continue
         value = composed(x, eta)
-        assert value == bs.symbol_steklov(P1, metric, weight, x, eta)
-        quotient = bs.symbol_F(metric, x, eta) / (weight.rho(x) + weight.epsilon)
+        assert value == weighted(x, eta)
+        quotient = unweighted(x, eta) / (weight.rho(x) + weight.epsilon)
         assert value == pytest.approx(quotient, rel=1e-15)

@@ -257,9 +257,7 @@ def test_non_finite_values_exit_2(capsys, argv, message):
 def test_kernel_mode_refuses_aliased_windows_exit_2(capsys, L):
     # the Fourier route repeats with period 643.4 in x', and kernel mode
     # evaluates at the samples, L/2 either side of the window middle
-    with np.errstate(over="ignore"):  # the Gaussian data of --L 1e308
-        code, out, err = run_cli(capsys, "halfspace", "--mode", "kernel", "--samples", "16",
-                                 "--L", L)
+    code, out, err = run_cli(capsys, "halfspace", "--mode", "kernel", "--samples", "16", "--L", L)
     assert code == 2 and out == "" and "pi / deta = 321.699" in err
 
 
@@ -429,6 +427,36 @@ def test_symbol_table(capsys):
     assert float(summary[1]) == pytest.approx(4 * math.pi, rel=1e-10)
 
 
+# float.hex of the p2 symbol column of `symbol --problem p2 --n 3 --rho 2+cos(t) --points 72`,
+# 1/rho multiplied in left to right after 2 q^(3/2); the second half mirrors the first
+# but for rounding, so all 72 are listed
+_P2_SYMBOL_HEX = """
+1.2f684bda12f68p-4 1.30909d3e82268p-4 1.34105db59d2bap-4 1.39fc31bf09674p-4 1.427757c537b9dp-4
+1.4db4f4664ad73p-4 1.5bf9f7c6090b9p-4 1.6d9fb0b3d9cb1p-4 1.831729360dbe3p-4 1.9ced6f2dc04acp-4
+1.bbd0f2f2f0e46p-4 1.e0982c45ecd51p-4 1.0624dd2f1a9fdp-3 1.201319e16e1d6p-3 1.3ed9e8eb0dc92p-3
+1.636605f9e1eb5p-3 1.8ed58233da9f4p-3 1.c280278253b97p-3 1.0000000000000p-2 1.249c7f3b960c3p-2
+1.502f05946a766p-2 1.83f856c679fa0p-2 1.c15b9339fe299p-2 1.04e8c6c0f36bcp-1 1.2f684bda12f65p-1
+1.60d22df0219c0p-1 1.9998c50f7baccp-1 1.d9d187180ac32p-1 1.1080c97f6a188p+0 1.36f2bbb70d93ep+0
+1.5f1fa259710ebp+0 1.875e0b352b717p+0 1.ad82e589c4900p+0 1.cf09404316816p+0 1.e95b2f16ecccep+0
+1.fa3302a84f052p+0 1.0000000000000p+1 1.fa3302a84f052p+0 1.e95b2f16ecccep+0 1.cf0940431681bp+0
+1.ad82e589c4900p+0 1.875e0b352b71dp+0 1.5f1fa259710f0p+0 1.36f2bbb70d93ep+0 1.1080c97f6a18cp+0
+1.d9d187180ac35p-1 1.9998c50f7bad0p-1 1.60d22df0219bap-1 1.2f684bda12f6dp-1 1.04e8c6c0f36c1p-1
+1.c15b9339fe299p-2 1.83f856c679fa0p-2 1.502f05946a766p-2 1.249c7f3b960c3p-2 1.0000000000003p-2
+1.c280278253b9dp-3 1.8ed58233da9f7p-3 1.636605f9e1eb8p-3 1.3ed9e8eb0dc92p-3 1.201319e16e1dap-3
+1.0624dd2f1aa01p-3 1.e0982c45ecd51p-4 1.bbd0f2f2f0e46p-4 1.9ced6f2dc04acp-4 1.831729360dbe3p-4
+1.6d9fb0b3d9cb5p-4 1.5bf9f7c6090b9p-4 1.4db4f4664ad76p-4 1.427757c537b9dp-4 1.39fc31bf09674p-4
+1.34105db59d2bap-4 1.30909d3e82268p-4
+""".split()
+
+
+def test_p2_symbol_column_is_bit_exact(capsys):
+    code, out, _ = run_cli(capsys, "symbol", "--problem", "p2", "--n", "3", "--rho", "2+cos(t)",
+                           "--points", "72")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [float(r[2]).hex() for r in rows[:-1]] == ["0x" + h for h in _P2_SYMBOL_HEX]
+
+
 def test_symbol_rejects_negative_weight(capsys):
     code, _, err = run_cli(capsys, "symbol", "--rho", "cos(t)", "--points", "16")
     assert code == 2
@@ -512,10 +540,12 @@ def _config(argv):
 def test_flag_and_config_key_give_the_same_configuration(tmp_path, field):
     path = tmp_path / "run.cfg"
     path.write_text(f"{field} = {_SAMPLES[field]}\n")
+    # a field that only kernel mode reads is drawn in kernel mode
+    mode = [] if "bvp" in cli._SETTINGS[field].modes else ["--mode", "kernel"]
     for command in cli._SETTINGS[field].commands:  # every (command, field) pair
-        via_flag = _config([command, "--" + field.replace("_", "-"), _SAMPLES[field]])
-        assert via_flag == _config([command, "--config", str(path)]), command
-        assert via_flag[field] != _config([command])[field], command
+        via_flag = _config([command, *mode, "--" + field.replace("_", "-"), _SAMPLES[field]])
+        assert via_flag == _config([command, *mode, "--config", str(path)]), command
+        assert via_flag[field] != _config([command, *mode])[field], command
 
 
 def test_flags_a_command_does_not_read_exit_2(capsys):
@@ -542,8 +572,8 @@ def test_kernel_mode_refuses_the_bvp_flags(tmp_path, capsys):
                      ["--samples", "16", "--config", str(config)]):
             code, out, err = run_cli(capsys, "halfspace", *argv)
             assert code == 2 and out == "" and f"{flag} is not read in kernel mode" in err, argv
-    code, out, _ = run_cli(capsys, "halfspace", "--levels", "1", "--samples", "16", "--xn", "2")
-    assert code == 0 and out  # bvp mode takes the kernel flags and ignores them
+    code, out, err = run_cli(capsys, "halfspace", "--levels", "1", "--samples", "16", "--xn", "2")
+    assert code == 2 and out == "" and "is not read in bvp mode" in err
 
 
 def test_readme_flag_lists_match_the_parsers():
@@ -606,13 +636,26 @@ def test_unknown_flag_exits_2():
     assert proc.returncode == 2
 
 
-def _fresh_python(code):
+def _fresh(*args):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path))
+
+
+def _fresh_python(code):
+    proc = _fresh("-c", code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+@pytest.mark.parametrize("argv", ["symbol --eta 1e200", "halfspace --eta 1e200",
+                                  "halfspace --mode kernel --L 1e308"])
+def test_overflowing_inputs_print_only_the_refusal(argv):
+    # a fresh process, so that a numpy overflow warning would reach stderr
+    proc = _fresh("-m", "bisteklov", *argv.split())
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert re.fullmatch(r"error: [^\n]+\n", proc.stderr), proc.stderr
 
 
 def test_import_does_not_load_scipy():

@@ -275,7 +275,7 @@ def test_phase_volume_rejections():
     composed = symbol_compose(sym, sym)  # loses the ellipsoidal structure
     with pytest.raises(TypeError):
         hormander_phase_volume(composed, 0.0)
-    lying = HomogeneousSymbol(2.0, sym.fn, "bad-degree", sym.coeff, sym.metric)
+    lying = HomogeneousSymbol(2.0, sym.fn, sym.coeff, sym.metric)  # a wrong degree
     with pytest.raises(ValueError):
         hormander_phase_volume(lying, 0.0)
 

@@ -10,14 +10,12 @@ from bisteklov import (
     HomogeneousSymbol,
     ProblemKind,
     counting,
-    f_symbol,
     quadratic_form,
     reciprocal_weight_symbol,
     steklov_symbol,
-    symbol_F,
-    symbol_Theta,
     symbol_compose,
     symbol_steklov,
+    symbols,
     theta_symbol,
     unit_circle_weight,
 )
@@ -40,35 +38,48 @@ def random_spd(rng, dim):
 
 def test_symbol_f_reference_values():
     ident = BoundaryMetric.identity(2)
-    assert symbol_F(ident, None, [1.0, 0.0]) == pytest.approx(2.0, rel=1e-15)
-    assert symbol_F(ident, None, [0.6, 0.8]) == pytest.approx(2.0, rel=1e-14)
+    assert steklov_symbol(P1, ident)(None, [1.0, 0.0]) == pytest.approx(2.0, rel=1e-15)
+    assert steklov_symbol(P1, ident)(None, [0.6, 0.8]) == pytest.approx(2.0, rel=1e-14)
     one_d = BoundaryMetric.constant([[4.0]])
-    assert symbol_F(one_d, None, [1.0]) == pytest.approx(4.0, rel=1e-15)
+    assert steklov_symbol(P1, one_d)(None, [1.0]) == pytest.approx(4.0, rel=1e-15)
 
 
 def test_symbol_theta_reference_values():
     ident = BoundaryMetric.identity(2)
-    assert symbol_Theta(ident, None, [1.0, 0.0]) == pytest.approx(2.0, rel=1e-15)
-    assert symbol_Theta(ident, None, [2.0, 0.0]) == pytest.approx(16.0, rel=1e-14)
+    assert steklov_symbol(P2, ident)(None, [1.0, 0.0]) == pytest.approx(2.0, rel=1e-15)
+    assert steklov_symbol(P2, ident)(None, [2.0, 0.0]) == pytest.approx(16.0, rel=1e-14)
 
 
 def test_symbols_reject_zero_covector():
     ident = BoundaryMetric.identity(2)
     with pytest.raises(ValueError):
-        symbol_F(ident, None, [0.0, 0.0])
+        steklov_symbol(P1, ident)(None, [0.0, 0.0])
     with pytest.raises(ValueError):
-        symbol_Theta(ident, None, [0.0, 0.0])
+        steklov_symbol(P2, ident)(None, [0.0, 0.0])
     with pytest.raises(ValueError):
         quadratic_form(ident, None, [1.0])  # wrong size
 
 
 def test_metric_validation():
-    bad = BoundaryMetric.constant([[1.0, 2.0], [2.0, 1.0]])  # indefinite
-    with pytest.raises(ValueError):
-        bad.matrix_at(None)
-    asym = BoundaryMetric(lambda x: np.array([[1.0, 0.5], [0.2, 1.0]]), 2)
-    with pytest.raises(ValueError):
-        asym.matrix_at(None)
+    with pytest.raises(ValueError, match="positive definite"):
+        BoundaryMetric.constant([[1.0, 2.0], [2.0, 1.0]])  # indefinite
+    with pytest.raises(ValueError, match="symmetric"):
+        BoundaryMetric(np.array([[1.0, 0.5], [0.2, 1.0]]))
+    with pytest.raises(ValueError, match="square"):
+        BoundaryMetric([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+def test_metric_is_checked_once(monkeypatch):
+    calls = []
+    check = symbols._check_spd
+    monkeypatch.setattr(symbols, "_check_spd", lambda *a: calls.append(a) or check(*a))
+    metric = BoundaryMetric.constant([[1.3, 0.4], [0.4, 0.9]])
+    assert len(calls) == 1 and metric.dim == 2
+    sym = steklov_symbol(P2, metric, unit_circle_weight(lambda t: 2.0 + math.cos(t)))
+    for j in range(100):
+        sym(0.1 * j, [1.0, -0.5])
+    counting.hormander_phase_volume(sym, 0.3)
+    assert len(calls) == 1
 
 
 @given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.sampled_from([2.0, 10.0, 1000.0]))
@@ -81,7 +92,7 @@ def test_homogeneity_of_builtin_symbols(dim, seed, t):
         eta = np.ones(dim)
     weight = unit_circle_weight(lambda s: 1.5 + 0.5 * math.sin(s), epsilon=0.1)
     x = float(rng.uniform(0, 2 * math.pi))
-    for sym, degree in ((f_symbol(metric), 1), (theta_symbol(metric), 3),
+    for sym, degree in ((steklov_symbol(P1, metric), 1), (steklov_symbol(P2, metric), 3),
                         (steklov_symbol(P2, metric, weight), 3)):
         assert sym.degree == degree
         scaled = sym(x, t * eta)
@@ -94,8 +105,8 @@ def test_homogeneity_of_builtin_symbols(dim, seed, t):
 
 def test_compose_identity_element():
     metric = BoundaryMetric.identity(2)
-    one = HomogeneousSymbol(0.0, lambda x, e: 1.0, "1")
-    f = f_symbol(metric)
+    one = HomogeneousSymbol(0.0, lambda x, e: 1.0)
+    f = steklov_symbol(P1, metric)
     composed = symbol_compose(one, f)
     assert composed.degree == 1.0
     eta = np.array([0.3, -1.2])
@@ -104,7 +115,7 @@ def test_compose_identity_element():
 
 def test_compose_square():
     metric = BoundaryMetric.constant([[2.0, 0.5], [0.5, 1.0]])
-    f = f_symbol(metric)
+    f = steklov_symbol(P1, metric)
     ff = symbol_compose(f, f)
     assert ff.degree == 2.0
     eta = np.array([1.0, 2.0])
@@ -115,9 +126,9 @@ def test_compose_square():
 def test_compose_commutes_and_associates():
     metric = BoundaryMetric.identity(2)
     weight = unit_circle_weight(lambda t: 2.0 + math.cos(t), epsilon=0.0)
-    a = f_symbol(metric)
+    a = steklov_symbol(P1, metric)
     b = reciprocal_weight_symbol(weight)
-    c = theta_symbol(metric)
+    c = steklov_symbol(P2, metric)
     eta = np.array([0.7, 0.1])
     x = 1.3
     assert symbol_compose(a, b)(x, eta) == symbol_compose(b, a)(x, eta)
@@ -130,14 +141,15 @@ def test_compose_weight_with_f_bit_matches_steklov():
     rng = np.random.default_rng(100)
     metric = BoundaryMetric.constant(random_spd(rng, 2))
     weight = unit_circle_weight(lambda t: 1.7 + 0.6 * math.sin(t), epsilon=0.05)
-    composed = symbol_compose(reciprocal_weight_symbol(weight), f_symbol(metric))
+    composed = symbol_compose(reciprocal_weight_symbol(weight), steklov_symbol(P1, metric))
+    weighted = steklov_symbol(P1, metric, weight)
     assert composed.degree == 1.0
     for _ in range(200):
         x = float(rng.uniform(0, 2 * math.pi))
         eta = rng.normal(size=2)
         lhs = composed(x, eta)
-        assert lhs == symbol_steklov(P1, metric, weight, x, eta)
-        quotient = symbol_F(metric, x, eta) / (weight.rho(x) + weight.epsilon)
+        assert lhs == weighted(x, eta)
+        quotient = steklov_symbol(P1, metric)(x, eta) / (weight.rho(x) + weight.epsilon)
         assert lhs == pytest.approx(quotient, rel=1e-15)
 
 
@@ -150,8 +162,8 @@ def test_coordinate_change_invariance():
         zeta = rng.normal(size=dim)
         if not np.any(zeta):
             continue
-        before = symbol_F(BoundaryMetric.constant(g), None, C @ zeta)
-        after = symbol_F(BoundaryMetric.constant(C.T @ g @ C), None, zeta)
+        before = steklov_symbol(P1, BoundaryMetric.constant(g))(None, C @ zeta)
+        after = steklov_symbol(P1, BoundaryMetric.constant(C.T @ g @ C))(None, zeta)
         assert before == pytest.approx(after, rel=1e-12)
 
 
@@ -162,17 +174,32 @@ def test_coordinate_change_invariance():
 def test_symbol_steklov_values():
     ident1 = BoundaryMetric.identity(1)
     w1 = unit_circle_weight()
-    assert symbol_steklov(P1, ident1, w1, 0.0, [1.0]) == pytest.approx(2.0, rel=1e-15)
+    assert steklov_symbol(P1, ident1, w1)(0.0, [1.0]) == pytest.approx(2.0, rel=1e-15)
     w2 = unit_circle_weight(lambda t: 2.0)
-    assert symbol_steklov(P2, ident1, w2, 0.0, [1.0]) == pytest.approx(0.25, rel=1e-14)
-    assert symbol_steklov(HARM, ident1, w1, 0.0, [1.0]) == pytest.approx(1.0, rel=1e-15)
+    assert steklov_symbol(P2, ident1, w2)(0.0, [1.0]) == pytest.approx(0.25, rel=1e-14)
+    assert steklov_symbol(HARM, ident1, w1)(0.0, [1.0]) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_symbol_steklov_zero_weight_guard():
     ident = BoundaryMetric.identity(1)
     w = unit_circle_weight(lambda t: 0.0, epsilon=0.0)
     with pytest.raises(ValueError):
-        symbol_steklov(P1, ident, w, 0.0, [1.0])
+        steklov_symbol(P1, ident, w)(0.0, [1.0])
+
+
+def test_unit_weight_and_the_delegations_are_bit_identical():
+    rng = np.random.default_rng(7)
+    metric = BoundaryMetric.constant(random_spd(rng, 2))
+    weight = unit_circle_weight(lambda t: 1.7 + 0.6 * math.sin(t))
+    for problem in (P1, P2, HARM):
+        unweighted = steklov_symbol(problem, metric)
+        unit = steklov_symbol(problem, metric, unit_circle_weight())
+        for _ in range(50):
+            x, eta = float(rng.uniform(0, 2 * math.pi)), rng.normal(size=2)
+            assert unweighted(x, eta) == unit(x, eta)
+            assert symbol_steklov(problem, metric, weight, x, eta) \
+                == steklov_symbol(problem, metric, weight)(x, eta)
+    assert theta_symbol(metric)(None, eta) == steklov_symbol(P2, metric)(None, eta)
 
 
 def test_steklov_sublevel_volume_matches_growth_radius():
