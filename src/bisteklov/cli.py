@@ -44,11 +44,6 @@ class WeightExpr:
     def is_constant(self) -> bool:
         return not self._uses_param
 
-    def constant_value(self) -> float:
-        if not self.is_constant:
-            raise ValueError(f"weight expression {self.text!r} is not constant")
-        return self.fn(0.0)
-
     @staticmethod
     def _tokenize(text: str) -> list[str]:
         tokens, i = [], 0
@@ -292,7 +287,7 @@ def _constant_rho(cfg: argparse.Namespace) -> float:
     if not expr.is_constant:
         raise ValueError("this command needs a constant weight; expressions over "
                          "the boundary parameter belong to the 'symbol' command")
-    c = expr.constant_value()
+    c = expr.fn(0.0)
     if not 0 < c < math.inf:
         raise ValueError("weight constant must be positive and finite")
     return c
@@ -339,8 +334,8 @@ def cmd_weyl(cfg: argparse.Namespace) -> None:
     # only the first eigenvalue can be zero; its row has no scaled residual
     rows = [[0.0, count, 0.0, float(count)]
             for count in spec.cumulative[:len(spec.values) - len(samples)]]
-    rows += [[tau, count, model.predicted(tau), residual]
-             for (tau, count), (_, residual) in zip(samples, report.residual_series)]
+    rows += [[tau, count, model.predicted(tau), model.scaled_residual(tau, count)]
+             for tau, count in samples]
     rows.append(["summary", report.second_coeff_estimate, report.trend_slope,
                  report.sharp_verdict])
     _emit(["tau", "count", "predicted", "residual_scaled"], rows, cfg.out)
@@ -418,7 +413,12 @@ def cmd_halfspace(cfg: argparse.Namespace) -> None:
 def cmd_symbol(cfg: argparse.Namespace) -> None:
     """Weighted symbol and phase volume over the boundary."""
     expr = WeightExpr(cfg.rho)
-    weight = counting.unit_circle_weight(expr.fn, cfg.epsilon)
+    if cfg.n == 2:
+        weight = counting.unit_circle_weight(expr.fn, cfg.epsilon)
+    else:  # a zonal weight on the sphere S^{n-1}: rho a function of the polar angle t
+        area, power = counting.sphere_area(cfg.n - 1), cfg.n - 2
+        weight = counting.BoundaryWeight(expr.fn, lambda t: area * math.sin(t) ** power,
+                                         ((0.0, math.pi),), cfg.epsilon)
     metric = symbols.BoundaryMetric.identity(cfg.n - 1)
     eta = np.zeros(cfg.n - 1)
     eta[0] = cfg.eta
@@ -484,7 +484,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (halfspace.SolverError, np.linalg.LinAlgError) as exc:
+    except halfspace.SolverError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

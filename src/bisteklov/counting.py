@@ -13,7 +13,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -225,8 +224,6 @@ def boundary_integral(weight: BoundaryWeight, n: int, panels: int) -> float:
 class MonteCarloVolume:
     value: float
     stderr: float
-    samples: int
-    seed: int
 
 
 def _require_ellipsoidal(symbol: HomogeneousSymbol) -> None:
@@ -238,7 +235,7 @@ def _require_ellipsoidal(symbol: HomogeneousSymbol) -> None:
 
 
 def _homogeneity_probe(symbol: HomogeneousSymbol, x) -> None:
-    dim = symbol.metric.dim if symbol.is_ellipsoidal else 1
+    dim = symbol.metric.dim
     eta = np.ones(dim) / math.sqrt(dim)
     v1 = symbol(x, eta)
     v2 = symbol(x, 2.0 * eta)
@@ -272,7 +269,7 @@ def phase_volume_montecarlo(symbol: HomogeneousSymbol, x, samples: int,
     det_weight = math.sqrt(float(np.linalg.det(g)))
     value = box_volume * det_weight * p_hat
     stderr = box_volume * det_weight * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / samples)
-    return MonteCarloVolume(value, stderr, samples, seed)
+    return MonteCarloVolume(value, stderr)
 
 
 def hormander_phase_volume(symbol: HomogeneousSymbol, x) -> float:
@@ -301,30 +298,21 @@ def hormander_phase_volume(symbol: HomogeneousSymbol, x) -> float:
 
 @dataclass(frozen=True)
 class RemainderReport:
-    """Outcome of fitting the next-order coefficient of a counting series; it
-    keeps the series and model and builds ``residual_series`` on first access."""
+    """Outcome of fitting the next-order coefficient of a counting series."""
 
     second_coeff_estimate: float
     sharp_verdict: bool
-    tolerance_used: float
     trend_slope: float
-    series: CountingSeries = field(repr=False)
-    model: WeylModel
-
-    @cached_property
-    def residual_series(self) -> tuple[tuple[float, float], ...]:
-        return tuple((t, self.model.scaled_residual(t, c)) for t, c in self.series.samples)
 
 
-def remainder_fit(series: CountingSeries, model: WeylModel,
-                  tolerance: float | None = None) -> RemainderReport:
+def remainder_fit(series: CountingSeries, model: WeylModel) -> RemainderReport:
     """Extract the tau^(n-2) coefficient of count - C_lead * tau^(n-1).
 
     Uses the scaled residual at the largest tau (the exact residual is
     monotone for the model problems, so no least-squares fit) and reports the
     average slope of the residual against log tau as a trend diagnostic.
-    The verdict is sharp when the estimate exceeds the tolerance, which
-    defaults to a tenth of the leading coefficient.
+    The verdict is sharp when the estimate exceeds a tenth of the leading
+    coefficient.
     """
     samples = series.samples
     if len(samples) < 10:
@@ -342,8 +330,7 @@ def remainder_fit(series: CountingSeries, model: WeylModel,
 
     start, estimate = model.scaled_residual(*samples[0]), model.scaled_residual(last, last_count)
     trend = (estimate - start) / (math.log(last) - math.log(first))
-    tol = 0.1 * model.c_lead if tolerance is None else tolerance
-    return RemainderReport(estimate, abs(estimate) > tol, tol, trend, series, model)
+    return RemainderReport(estimate, abs(estimate) > 0.1 * model.c_lead, trend)
 
 
 def gamma_identity_check(n: int) -> float:

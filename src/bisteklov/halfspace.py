@@ -52,10 +52,9 @@ class MetricBlock:
 
 @dataclass(frozen=True, eq=False)
 class FourierDatum:
-    """One tangential frequency with its boundary amplitude."""
+    """One tangential frequency; its boundary data are unit."""
 
     eta: np.ndarray
-    amplitude: complex = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "eta", np.atleast_1d(np.asarray(self.eta, dtype=float)))
@@ -80,10 +79,6 @@ class HalfSpaceGrid:
     def n_steps(self) -> int:
         return round(self.L / self.h)
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.L, self.n_steps + 1)
-
 
 def xi_norm(A: MetricBlock, eta) -> float:
     """Normal-variable decay rate sqrt(eta . a_tan . eta / a_nn)."""
@@ -102,23 +97,23 @@ def xi_norm(A: MetricBlock, eta) -> float:
 # ---------------------------------------------------------------------------
 
 def fourier_solution_p1(A: MetricBlock, datum: FourierDatum, x_n):
-    """Bounded profile with zero trace and normal derivative amplitude/sqrt(a_nn):
-    (amplitude / sqrt(a_nn)) * x_n * exp(-|xi'| x_n)."""
+    """Bounded profile with zero trace and unit conormal derivative
+    sqrt(a_nn) u'(0) = 1: (1 / sqrt(a_nn)) * x_n * exp(-|xi'| x_n)."""
     x_n = np.asarray(x_n, dtype=float)
     if np.any(x_n < 0):
         raise ValueError("x_n must be nonnegative")
     k = xi_norm(A, datum.eta)
-    return datum.amplitude / math.sqrt(A.a_nn) * x_n * np.exp(-k * x_n)
+    return 1.0 / math.sqrt(A.a_nn) * x_n * np.exp(-k * x_n)
 
 
 def fourier_solution_p2(A: MetricBlock, datum: FourierDatum, x_n):
-    """Bounded profile with trace equal to the amplitude and zero normal
-    derivative: amplitude * exp(-|xi'| x_n) * (1 + |xi'| x_n)."""
+    """Bounded profile with unit trace and zero normal derivative:
+    exp(-|xi'| x_n) * (1 + |xi'| x_n)."""
     x_n = np.asarray(x_n, dtype=float)
     if np.any(x_n < 0):
         raise ValueError("x_n must be nonnegative")
     k = xi_norm(A, datum.eta)
-    return datum.amplitude * np.exp(-k * x_n) * (1.0 + k * x_n)
+    return np.exp(-k * x_n) * (1.0 + k * x_n)
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +180,10 @@ def _solve_ode(k: float, grid: HalfSpaceGrid, bc_value: float, bc_slope: float,
 def bvp_solve_p1(A: MetricBlock, datum: FourierDatum, grid: HalfSpaceGrid) -> float:
     """Numerically recover the trace-zero boundary symbol.
 
-    Solves the normal-variable problem with u(0) = 0 and
-    sqrt(a_nn) u'(0) = amplitude, then returns
-    -(a_nn u''(0) - a_nn |xi'|^2 u(0)) / amplitude via a one-sided
-    second-order stencil.  The result is amplitude-independent and converges
-    at O(h^2) to twice the tangential metric norm of the covector.
+    Solves the normal-variable problem with the unit data u(0) = 0 and
+    sqrt(a_nn) u'(0) = 1, then returns -(a_nn u''(0) - a_nn |xi'|^2 u(0))
+    via a one-sided second-order stencil.  Converges at O(h^2) to twice the
+    tangential metric norm of the covector.
     """
     k = xi_norm(A, datum.eta)
     u, _ = _solve_ode(k, grid, 0.0, 1.0 / math.sqrt(A.a_nn), np.arange(4))
@@ -200,8 +194,8 @@ def bvp_solve_p1(A: MetricBlock, datum: FourierDatum, grid: HalfSpaceGrid) -> fl
 def bvp_solve_p2(A: MetricBlock, datum: FourierDatum, grid: HalfSpaceGrid) -> float:
     """Numerically recover the flux boundary symbol.
 
-    Solves with u(0) = amplitude and u'(0) = 0, then returns
-    sqrt(a_nn) (a_nn u'''(0) - a_nn |xi'|^2 u'(0)) / amplitude, which is
+    Solves with the unit data u(0) = 1 and u'(0) = 0, then returns
+    sqrt(a_nn) (a_nn u'''(0) - a_nn |xi'|^2 u'(0)), which is
     a_nn^(3/2) (u'' - |xi'|^2 u)'(0): the one-sided cubic derivative at the
     wall of -v / h^2 on the nodes 1 .. 4, with v from the solve.  Converges at
     O(h^2) to twice the tangential metric norm cubed.
@@ -372,13 +366,12 @@ def _chirp_z(data: np.ndarray, y: np.ndarray, etas: np.ndarray) -> np.ndarray:
     return conv * (chirp[np.abs(k)] * np.exp(-1j * etas * y[jc]))
 
 
-def fourier_synthesis(A: MetricBlock, y, phi, h, points, eta_max: float = 40.0,
-                      eta_points: int = 8193) -> np.ndarray:
+def fourier_synthesis(A: MetricBlock, y, phi, h, points, eta_points: int = 8193) -> np.ndarray:
     """Solve the same problem from the Fourier side.
 
     Applies the exact normal-variable profiles to the discrete transform of
     the boundary data and inverts by trapezoid quadrature on ``eta_points``
-    nodes of [-eta_max, eta_max].  Real data and even profiles let it sum the
+    nodes of [-40, 40].  Real data and even profiles let it sum the
     nodes eta >= 0 only, with folded weights; there the integrand is
     (a + x_n b) exp(i eta z), z = x' + i sqrt(a_tan/a_nn) x_n, with a and b free
     of the point, and a power table exp(i (64 o + j + off) deta z) = G_o g_j
@@ -386,7 +379,7 @@ def fourier_synthesis(A: MetricBlock, y, phi, h, points, eta_max: float = 40.0,
     points with |x' - window middle| >= pi / deta are refused as aliased.
     ``y`` is taken as exactly uniform, its step from its ends; steps that differ
     by the relative 1e-12 the input check allows shift the transform by up to
-    about eta_max * (y[-1] - y[0]) * 1e-12.
+    about 40 * (y[-1] - y[0]) * 1e-12.
     """
     if A.dim != 2:
         raise ValueError("fourier synthesis is implemented for the half-plane")
@@ -394,9 +387,9 @@ def fourier_synthesis(A: MetricBlock, y, phi, h, points, eta_max: float = 40.0,
     if np.any(pts[:, 1] <= 0):
         raise ValueError("evaluation points need x_n > 0")
     eta_points = operator.index(eta_points)  # a TypeError for a float count
-    if not (eta_points >= 2 and 0.0 < eta_max < math.inf):
-        raise ValueError("need eta_points >= 2 and a finite eta_max > 0")
-    deta = 2.0 * eta_max / (eta_points - 1)
+    if eta_points < 2:
+        raise ValueError("need eta_points >= 2")
+    deta = 80.0 / (eta_points - 1)
     if np.any(np.abs(pts[:, 0] - 0.5 * (y[0] + y[-1])) >= math.pi / deta):
         raise ValueError(f"aliasing: need |x' - window middle| < pi / deta = {math.pi / deta:.6g}")
 

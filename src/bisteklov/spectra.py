@@ -23,7 +23,7 @@ _ZERO = Fraction(0)
 
 
 class BasisSizeError(RuntimeError):
-    """Monomial workload above the configured cap."""
+    """Monomial basis above the cap of 200 000 monomials."""
 
 
 class ProblemKind(Enum):
@@ -282,7 +282,7 @@ def _harmonic_extension(n: int, start: int, beta: Exponent) -> HarmonicPoly:
     return c._new(terms)
 
 
-def harmonic_basis(n: int, m: int, max_monomials: int = 200_000) -> list[HarmonicPoly]:
+def harmonic_basis(n: int, m: int) -> list[HarmonicPoly]:
     """Exact basis of the degree-m harmonic polynomials in n >= 2 variables.
 
     The basis spans the nullspace of the Laplacian on degree-m monomials; it
@@ -295,10 +295,8 @@ def harmonic_basis(n: int, m: int, max_monomials: int = 200_000) -> list[Harmoni
         raise ValueError("need n >= 2")
     if m < 0:
         raise ValueError("need m >= 0")
-    if math.comb(n + m - 1, n - 1) > max_monomials:
-        raise BasisSizeError(
-            f"monomial basis of degree {m} in {n} variables exceeds cap {max_monomials}"
-        )
+    if math.comb(n + m - 1, n - 1) > 200_000:
+        raise BasisSizeError(f"monomial basis of degree {m} in {n} variables exceeds cap 200000")
     basis = []
     for start in (0, 1):
         if m - start < 0:

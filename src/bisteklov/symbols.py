@@ -57,8 +57,8 @@ class BoundaryMetric:
         return BoundaryMetric(np.eye(dim))
 
 
-def quadratic_form(metric: BoundaryMetric, x, eta) -> float:
-    """eta' . g^{-1}(x') . eta', rejecting a form that is zero, non-finite or
+def quadratic_form(metric: BoundaryMetric, eta) -> float:
+    """eta' . g^{-1} . eta', rejecting a form that is zero, non-finite or
     out of double range."""
     eta = np.asarray(eta, dtype=float).reshape(-1)
     if eta.shape != (metric.dim,):
@@ -128,12 +128,19 @@ def steklov_symbol(problem: ProblemKind, metric: BoundaryMetric,
     def fn(x, eta) -> float:
         r = rho(x)
         inv = 1.0 / r
-        value = coeff * quadratic_form(metric, x, eta) ** (degree / 2.0)
+        try:
+            value = coeff * quadratic_form(metric, eta) ** (degree / 2.0)
+        except OverflowError:  # q^(degree/2) past the double range
+            value = math.inf
         weighted(r)  # refuses a weight whose coeff / rho^degree leaves the double range
         # the degree factors 1/rho multiply the unweighted value left to right: this order keeps
         # acceptance criterion 11 and the `symbol` golden CSV bit-exact; with no weight they are
         # 1.0, which is exact
-        return value * math.prod([inv] * int(degree))
+        value *= math.prod([inv] * int(degree))
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"symbol out of range: {coeff:g} q^{degree / 2:g} / rho^{degree:g} "
+                             "leaves the double range")
+        return value
 
     return HomogeneousSymbol(degree, fn, lambda x: weighted(rho(x)), metric)
 

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bisteklov import cli, halfspace
+from bisteklov import ProblemKind, cli, halfspace
+from bisteklov.counting import sphere_area, weyl_leading
 from bisteklov.cli import WeightExpr, main
 
 
@@ -36,9 +37,9 @@ def parse_csv(text):
 # ---------------------------------------------------------------------------
 
 def test_weight_expr_constants_and_parameter():
-    assert WeightExpr("1").constant_value() == 1.0
-    assert WeightExpr("2*pi").constant_value() == pytest.approx(2 * math.pi)
-    assert WeightExpr("-0.5 + 2").constant_value() == pytest.approx(1.5)
+    assert WeightExpr("1").fn(0.0) == 1.0
+    assert WeightExpr("2*pi").fn(0.0) == pytest.approx(2 * math.pi)
+    assert WeightExpr("-0.5 + 2").fn(0.0) == pytest.approx(1.5)
     expr = WeightExpr("2 + cos(t)")
     assert not expr.is_constant
     assert expr.fn(0.0) == pytest.approx(3.0)
@@ -58,19 +59,17 @@ def test_weight_expr_deep_nesting_is_a_validation_error(capsys):
     for chain in ("+".join(["1"] * 3000), "*".join(["1"] * 3000)):
         with pytest.raises(ValueError, match="nested deeper"):
             WeightExpr(chain)
-    assert WeightExpr("+".join(["1"] * 101)).constant_value() == 101.0
-    assert WeightExpr("-".join(["1"] * 101)).constant_value() == -99.0
-    assert WeightExpr("*".join(["2"] * 10)).constant_value() == 1024.0
-    assert WeightExpr("1-2-3+4*5*6-7").constant_value() == 109.0
-    assert WeightExpr("(" * 100 + "2" + ")" * 100).constant_value() == 2.0
+    assert WeightExpr("+".join(["1"] * 101)).fn(0.0) == 101.0
+    assert WeightExpr("-".join(["1"] * 101)).fn(0.0) == -99.0
+    assert WeightExpr("*".join(["2"] * 10)).fn(0.0) == 1024.0
+    assert WeightExpr("1-2-3+4*5*6-7").fn(0.0) == 109.0
+    assert WeightExpr("(" * 100 + "2" + ")" * 100).fn(0.0) == 2.0
 
 
 def test_weight_expr_rejects_garbage():
     for bad in ("2 +", "cos()", "foo(t)", "1 $ 2", "(1", "2 / 3"):
         with pytest.raises(ValueError):
             WeightExpr(bad)
-    with pytest.raises(ValueError):
-        WeightExpr("cos(t)").constant_value()
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +341,9 @@ _HOSTILE_N = st.sampled_from([-1, 0, 1, 172, 300])
 # constant weights whose powers leave the double range in the counting constants,
 # or whose quotients leave it in the scaled spectra
 _EXTREME_WEIGHT = st.sampled_from(["1e5", "1e10", "1e300", "1e-310"])
+# covectors that pass validation but whose principal symbol leaves the double
+# range above (p2 from |eta| = 1e102.7 on) or below
+_ETA = st.floats(0.1, 4.0) | st.sampled_from([1e120, -1e150, 1e-110])
 _COUNTING_FLAGS = {
     "--problem": (st.sampled_from(["p1", "p2", "harmonic"]), st.just("p9")),
     "--n": (st.integers(2, 5), _HOSTILE_N),
@@ -356,7 +358,7 @@ _FLAGS = {
         "--h": (st.floats(1 / 256, 0.5), _HOSTILE_FLOAT),
         "--L": (st.floats(20.0, 40.0), _HOSTILE_FLOAT),
         "--levels": (st.integers(1, 3), _HOSTILE_INT),
-        "--eta": (st.floats(0.1, 4.0), _HOSTILE_FLOAT),
+        "--eta": (_ETA, _HOSTILE_FLOAT),
         "--seed": (st.integers(0, 5), st.just(-1)),
         "--problem": (st.sampled_from(["p1", "p2"]), st.just("harmonic")),
         "--n": (st.integers(2, 3), _HOSTILE_INT),
@@ -369,7 +371,7 @@ _FLAGS = {
     ("symbol",): {
         "--rho": (st.sampled_from(["1", "2+cos(t)", "1+0.5*sin(2*t)"]) | _EXTREME_WEIGHT,
                   st.sampled_from(["cos(t)", "-1"]) | st.text()),
-        "--eta": (st.floats(0.1, 4.0), _HOSTILE_FLOAT),
+        "--eta": (_ETA, _HOSTILE_FLOAT),
         "--epsilon": (st.floats(0.0, 1.0), _HOSTILE_FLOAT),
         "--points": (st.integers(1, 8), _HOSTILE_INT),
         "--panels": (st.integers(1, 16), _HOSTILE_INT),
@@ -406,6 +408,27 @@ def test_exit_code_contract_property(argv):
     assert "Traceback" not in err.getvalue()
 
 
+def test_exit_code_sweep_of_covectors_past_the_double_range():
+    # every problem and dimension against covectors whose symbol leaves the double
+    # range above or below, and weights that push the weighted value out: each run
+    # exits 2, or exits 0 with every symbol and target in (0, inf)
+    etas = ["1e120", "-1e150", "1e-110", "-1e-107", "1e300", "4"]
+    runs = [["halfspace", "--problem", p, "--n", n, "--eta=" + eta]
+            for p in ("p1", "p2", "harmonic") for n in ("2", "3") for eta in etas]
+    runs += [["symbol", "--problem", p, "--n", n, "--eta=" + eta, "--rho", rho]
+             for p in ("p1", "p2", "harmonic") for n in ("2", "3") for eta in etas
+             for rho in ("1", "1e-200", "1e300", "2+cos(t)")]
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2), (argv, code, err.getvalue())
+        if code == 0:
+            header, rows = parse_csv(out.getvalue())
+            column = header.index("symbol" if argv[0] == "symbol" else "target")
+            assert all(0.0 < float(r[column]) < math.inf for r in rows if r[column]), argv
+
+
 # ---------------------------------------------------------------------------
 # symbol and identity-check
 # ---------------------------------------------------------------------------
@@ -425,6 +448,28 @@ def test_symbol_table(capsys):
     assert summary[0] == "summary"
     # integral of (2+cos t) over the circle
     assert float(summary[1]) == pytest.approx(4 * math.pi, rel=1e-10)
+
+
+@pytest.mark.parametrize("rho", ["1", "2.5"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("problem", ["p1", "p2"])
+def test_symbol_summary_integrates_a_constant_weight_over_the_sphere(capsys, problem, n, rho):
+    # c^(n-1) |S^(n-1)|, the boundary integral and the C_lead that `weyl` uses
+    code, out, _ = run_cli(capsys, "symbol", "--problem", problem, "--n", str(n), "--rho", rho,
+                           "--points", "2")
+    assert code == 0
+    summary = parse_csv(out)[1][-1]
+    integral = float(rho) ** (n - 1) * sphere_area(n)
+    assert float(summary[1]) == pytest.approx(integral, rel=1e-12)
+    assert float(summary[2]) == pytest.approx(weyl_leading(ProblemKind(problem), n, integral),
+                                              rel=1e-12)
+
+
+def test_symbol_summary_integrates_a_zonal_weight_over_the_2_sphere(capsys):
+    # rho = 2+cos(t) of the polar angle: 2 pi * integral of (2+u)^2 over [-1, 1]
+    code, out, _ = run_cli(capsys, "symbol", "--n", "3", "--rho", "2+cos(t)", "--points", "2")
+    assert code == 0
+    assert float(parse_csv(out)[1][-1][1]) == pytest.approx(2 * math.pi * (8 + 2 / 3), rel=1e-12)
 
 
 # float.hex of the p2 symbol column of `symbol --problem p2 --n 3 --rho 2+cos(t) --points 72`,
@@ -649,8 +694,12 @@ def _fresh_python(code):
     return proc.stdout.strip()
 
 
-@pytest.mark.parametrize("argv", ["symbol --eta 1e200", "halfspace --eta 1e200",
-                                  "halfspace --mode kernel --L 1e308"])
+@pytest.mark.parametrize("argv", [
+    "symbol --eta 1e200", "halfspace --eta 1e200", "halfspace --mode kernel --L 1e308",
+    # q^(3/2) past the double range, the weighted value past it, the value below it
+    "symbol --problem p2 --eta 1e120", "halfspace --problem p2 --eta 1e120",
+    "symbol --problem p1 --eta 1e150 --rho 1e-200 --points 2",
+    "symbol --problem p2 --eta 1e-110", "halfspace --problem p2 --eta 1e-110"])
 def test_overflowing_inputs_print_only_the_refusal(argv):
     # a fresh process, so that a numpy overflow warning would reach stderr
     proc = _fresh("-m", "bisteklov", *argv.split())

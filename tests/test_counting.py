@@ -358,8 +358,8 @@ def test_disk_flux_count_is_a_sawtooth_around_the_leading_term():
 def test_remainder_fit_residuals_are_the_scaled_gaps(n):
     model = WeylModel(P1, n, sphere_area(n))
     series = ball_series(n, 300)
-    expected = tuple((t, (c - model.predicted(t)) / t ** (n - 2)) for t, c in series.samples)
-    assert remainder_fit(series, model).residual_series == expected
+    for t, c in series.samples:
+        assert model.scaled_residual(t, c) == (c - model.predicted(t)) / t ** (n - 2)
 
 
 def _spectrum_series(spectrum):
@@ -372,13 +372,13 @@ def _spectrum_series(spectrum):
     (P2, 2, disk_spectrum_p2(20_000)),
 ])
 def test_remainder_fit_estimates_are_the_endpoints_of_the_residual_series(problem, n, spectrum):
-    report = remainder_fit(_spectrum_series(spectrum), WeylModel(problem, n, sphere_area(n)))
-    assert "residual_series" not in vars(report)  # built on first access
-    (first, start), (last, end) = report.residual_series[0], report.residual_series[-1]
+    series, model = _spectrum_series(spectrum), WeylModel(problem, n, sphere_area(n))
+    report = remainder_fit(series, model)
+    (first, first_count), (last, last_count) = series.samples[0], series.samples[-1]
+    start, end = model.scaled_residual(first, first_count), model.scaled_residual(last, last_count)
     assert report.second_coeff_estimate.hex() == end.hex()
     trend = (end - start) / (math.log(last) - math.log(first))
     assert report.trend_slope.hex() == trend.hex()
-    assert report.residual_series is report.residual_series
 
 
 def test_remainder_fit_validation():

@@ -148,7 +148,7 @@ def test_harmonic_basis_counts_and_exactness(n, m_top):
 
 def test_harmonic_basis_cap():
     with pytest.raises(BasisSizeError):
-        harmonic_basis(3, 40, max_monomials=100)
+        harmonic_basis(3, 700)
     with pytest.raises(ValueError):
         harmonic_basis(1, 3)
 

@@ -57,7 +57,7 @@ def test_symbols_reject_zero_covector():
     with pytest.raises(ValueError):
         steklov_symbol(P2, ident)(None, [0.0, 0.0])
     with pytest.raises(ValueError):
-        quadratic_form(ident, None, [1.0])  # wrong size
+        quadratic_form(ident, [1.0])  # wrong size
 
 
 def test_metric_validation():
@@ -119,7 +119,7 @@ def test_compose_square():
     ff = symbol_compose(f, f)
     assert ff.degree == 2.0
     eta = np.array([1.0, 2.0])
-    assert ff(None, eta) == pytest.approx(4.0 * quadratic_form(metric, None, eta),
+    assert ff(None, eta) == pytest.approx(4.0 * quadratic_form(metric, eta),
                                           rel=1e-14)
 
 
