@@ -363,7 +363,7 @@ def _halfspace_bvp(cfg: argparse.Namespace) -> None:
               ProblemKind.DIRICHLET_TRACE: halfspace.bvp_solve_p2}.get(cfg.problem)
     if solver is None:
         raise ValueError("halfspace solvers exist for p1 and p2 only")
-    target = symbols.steklov_symbol(cfg.problem, symbols.BoundaryMetric(block.a_tan))(None, eta)
+    target = symbols.steklov_symbol(cfg.problem, block.a_tan)(None, eta)
 
     rate = halfspace.xi_norm(block, eta)
     rows, errors = [], []
@@ -423,9 +423,10 @@ def cmd_symbol(cfg: argparse.Namespace) -> None:
     eta = np.zeros(cfg.n - 1)
     eta[0] = cfg.eta
     sublevel = symbols.steklov_symbol(cfg.problem, metric, weight)
+    (start, stop), = weight.domain
     rows = []
     for j in range(cfg.points):
-        theta = 2.0 * math.pi * j / cfg.points
+        theta = start + (stop - start) * j / cfg.points
         rho = expr.fn(theta)
         if rho < 0:
             raise ValueError(f"weight is negative at theta={theta:.6g}")

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import _check_spd
+from .symbols import BoundaryMetric, quadratic_form
 
 
 class SolverError(RuntimeError):
@@ -29,21 +30,20 @@ class AdequacyError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class MetricBlock:
-    """Constant coefficient matrix with a tangential SPD block and a normal
-    scalar; the off-diagonal normal couplings are zero by assumption."""
+    """Constant coefficient matrix with a tangential SPD block, kept as a BoundaryMetric,
+    and a normal scalar; the off-diagonal normal couplings are zero by assumption."""
 
-    a_tan: np.ndarray
+    a_tan: BoundaryMetric
     a_nn: float
 
     def __post_init__(self):
-        a = _check_spd(self.a_tan, "tangential block")
+        object.__setattr__(self, "a_tan", BoundaryMetric(self.a_tan))
         if not self.a_nn > 0:
             raise ValueError("normal coefficient must be positive")
-        object.__setattr__(self, "a_tan", a)
 
     @property
     def dim(self) -> int:
-        return self.a_tan.shape[0] + 1
+        return self.a_tan.dim + 1
 
     @staticmethod
     def identity(n: int) -> "MetricBlock":
@@ -81,15 +81,11 @@ class HalfSpaceGrid:
 
 
 def xi_norm(A: MetricBlock, eta) -> float:
-    """Normal-variable decay rate sqrt(eta . a_tan . eta / a_nn)."""
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    if eta.shape != (A.dim - 1,):
-        raise ValueError(f"covector must have {A.dim - 1} components")
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below refuses inf and nan
-        rate = math.sqrt(float(eta @ A.a_tan @ eta) / A.a_nn)
-    if not 0.0 < rate < math.inf:
+    """Normal-variable decay rate sqrt(q(eta) / a_nn), q the tangential form."""
+    rate2 = quadratic_form(A.a_tan, eta) / A.a_nn
+    if not sys.float_info.min <= rate2 < math.inf:
         raise ValueError("covector must be nonzero and finite, with a norm in double range")
-    return rate
+    return math.sqrt(rate2)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +222,7 @@ def _kernel_values(A: MetricBlock, which: str, x: np.ndarray, x_n: np.ndarray,
     else:
         thetas = 2.0 * math.pi * np.arange(quad_points) / quad_points
         dirs, weight = np.column_stack([np.cos(thetas), np.sin(thetas)]), 2.0 * math.pi / quad_points
-    q = np.sqrt(np.sum((dirs @ A.a_tan) * dirs, axis=1) / A.a_nn)
+    q = np.sqrt(np.sum((dirs @ A.a_tan.matrix) * dirs, axis=1) / A.a_nn)
     xq = x_n[..., None] * q
     r = 1.0 / (x @ dirs.T + 1j * xq)
     if which == "K2":
@@ -400,7 +396,7 @@ def fourier_synthesis(A: MetricBlock, y, phi, h, points, eta_points: int = 8193)
     etas = (k + 0.5 * (1 - eta_points % 2)) * deta
     w = deta * ((k < count).astype(float) + (k < count - 1) - (etas == 0))
     phi_hat, h_hat = (dy * _chirp_z(d, y, etas) if d.any() else 0.0 for d in (phi, h))
-    r = math.sqrt(float(A.a_tan[0, 0]) / A.a_nn)
+    r = xi_norm(A, [1.0])
     ab = np.stack([w * phi_hat, w * (h_hat / math.sqrt(A.a_nn) + r * etas * phi_hat)], axis=1)
     ab = ab.reshape(-1, 128)  # row o: the (a, b) pairs of the nodes 64 o + j
 

@@ -8,6 +8,7 @@ metric of c(x') * q(eta')^(d/2) so downstream volume integrals can use them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -59,13 +60,13 @@ class BoundaryMetric:
 
 def quadratic_form(metric: BoundaryMetric, eta) -> float:
     """eta' . g^{-1} . eta', rejecting a form that is zero, non-finite or
-    out of double range."""
+    outside the normal double range."""
     eta = np.asarray(eta, dtype=float).reshape(-1)
     if eta.shape != (metric.dim,):
         raise ValueError(f"covector must have {metric.dim} components")
     with np.errstate(over="ignore", invalid="ignore"):  # the check below refuses inf and nan
         q = float(eta @ metric.matrix @ eta)
-    if not 0.0 < q < math.inf:
+    if not sys.float_info.min <= q < math.inf:  # a subnormal form keeps only a few digits
         raise ValueError("covector must be nonzero and finite, with a form in double range")
     return q
 
@@ -121,7 +122,7 @@ def steklov_symbol(problem: ProblemKind, metric: BoundaryMetric,
             c = coeff / r ** degree
         except (OverflowError, ZeroDivisionError):  # rho^degree past or below the double range
             c = 0.0
-        if not 0.0 < c < math.inf:
+        if not sys.float_info.min <= c < math.inf:
             raise ValueError(f"weight out of range: {coeff:g} / rho^{degree:g} leaves the double range")
         return c
 
@@ -137,7 +138,7 @@ def steklov_symbol(problem: ProblemKind, metric: BoundaryMetric,
         # acceptance criterion 11 and the `symbol` golden CSV bit-exact; with no weight they are
         # 1.0, which is exact
         value *= math.prod([inv] * int(degree))
-        if not 0.0 < value < math.inf:
+        if not sys.float_info.min <= value < math.inf:
             raise ValueError(f"symbol out of range: {coeff:g} q^{degree / 2:g} / rho^{degree:g} "
                              "leaves the double range")
         return value

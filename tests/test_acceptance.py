@@ -46,8 +46,7 @@ def ladder(solver, block, eta, base_factor):
     k = bs.xi_norm(block, eta)
     datum = bs.FourierDatum(eta)
     errors = []
-    metric = bs.BoundaryMetric.constant(block.a_tan)
-    target = bs.steklov_symbol(P1 if solver is bs.bvp_solve_p1 else P2, metric)(None, eta)
+    target = bs.steklov_symbol(P1 if solver is bs.bvp_solve_p1 else P2, block.a_tan)(None, eta)
     for level in (8, 4, 2, 1):
         h = level / (base_factor * k)
         steps = max(8, math.ceil((30.0 / k) / h))
@@ -201,7 +200,7 @@ def test_criterion_10_gamma_identity():
                "symbol exactly at 1000 seeded points")
 def test_criterion_11_symbol_composition():
     rng = np.random.default_rng(1111)
-    metric = bs.BoundaryMetric.constant(random_block(1111)[0].a_tan)
+    metric = random_block(1111)[0].a_tan
     dim = metric.dim
     weight = bs.unit_circle_weight(lambda t: 1.3 + 0.7 * math.sin(t), epsilon=0.05)
     unweighted = bs.steklov_symbol(P1, metric)

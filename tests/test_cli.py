@@ -205,6 +205,16 @@ def test_halfspace_seeded_block_deterministic(capsys):
     assert float(rows[-1][3]) < 1e-3  # anisotropic target still recovered
 
 
+def test_halfspace_bvp_run_checks_the_metric_once(capsys, monkeypatch):
+    # the block's tangential metric is the one the target symbol reads
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a))
+    code, _, _ = run_cli(capsys, "halfspace", "--problem", "p2", "--n", "3", "--seed", "4",
+                         "--levels", "2")
+    assert code == 0 and len(calls) == 1
+
+
 def test_halfspace_seed_zero_is_a_seed(capsys):
     base = ("halfspace", "--problem", "p1", "--levels", "1", "--h", str(1 / 64))
     code, unseeded, _ = run_cli(capsys, *base)
@@ -285,7 +295,9 @@ def test_dimensions_past_double_range_exit_2(capsys, argv, message):
     ("symbol --problem p2 --rho 1e300 --points 2", "2 / rho^3 leaves the double range"),
     ("symbol --problem p2 --rho 1e-120 --points 2", "2 / rho^3 leaves the double range"),
     ("symbol --problem p1 --rho 1e-320 --points 2", "2 / rho^1 leaves the double range"),
-    ("symbol --problem p1 --rho 1e308 --points 2", "integral of rho^(n-1) overflows"),
+    # 2 / 1e308 is subnormal; 2 / 5e307 is normal, and the integral then overflows
+    ("symbol --problem p1 --rho 1e308 --points 2", "2 / rho^1 leaves the double range"),
+    ("symbol --problem p1 --rho 5e307 --points 2", "integral of rho^(n-1) overflows"),
     ("weyl --problem p1 --n 40 --m-max 64 --rho 1e10", "weight 1e+10 is too large: rho^(n-1)"),
     ("weyl --problem p1 --m-max 64 --rho 1.7e308", "boundary integral must be positive and finite"),
     ("spectrum --problem p1 --n 2 --m-max 4 --rho 1e-310", "weight 1e-310 is too small"),
@@ -411,8 +423,8 @@ def test_exit_code_contract_property(argv):
 def test_exit_code_sweep_of_covectors_past_the_double_range():
     # every problem and dimension against covectors whose symbol leaves the double
     # range above or below, and weights that push the weighted value out: each run
-    # exits 2, or exits 0 with every symbol and target in (0, inf)
-    etas = ["1e120", "-1e150", "1e-110", "-1e-107", "1e300", "4"]
+    # exits 2, or exits 0 with every symbol and target a normal finite double
+    etas = ["1e120", "-1e150", "1e-110", "-1e-107", "1e-160", "1e300", "4"]
     runs = [["halfspace", "--problem", p, "--n", n, "--eta=" + eta]
             for p in ("p1", "p2", "harmonic") for n in ("2", "3") for eta in etas]
     runs += [["symbol", "--problem", p, "--n", n, "--eta=" + eta, "--rho", rho]
@@ -426,7 +438,8 @@ def test_exit_code_sweep_of_covectors_past_the_double_range():
         if code == 0:
             header, rows = parse_csv(out.getvalue())
             column = header.index("symbol" if argv[0] == "symbol" else "target")
-            assert all(0.0 < float(r[column]) < math.inf for r in rows if r[column]), argv
+            assert all(sys.float_info.min <= float(r[column]) < math.inf
+                       for r in rows if r[column]), argv
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +485,7 @@ def test_symbol_summary_integrates_a_zonal_weight_over_the_2_sphere(capsys):
     assert float(parse_csv(out)[1][-1][1]) == pytest.approx(2 * math.pi * (8 + 2 / 3), rel=1e-12)
 
 
-# float.hex of the p2 symbol column of `symbol --problem p2 --n 3 --rho 2+cos(t) --points 72`,
+# float.hex of the p2 symbol column of `symbol --problem p2 --n 2 --rho 2+cos(t) --points 72`,
 # 1/rho multiplied in left to right after 2 q^(3/2); the second half mirrors the first
 # but for rounding, so all 72 are listed
 _P2_SYMBOL_HEX = """
@@ -495,11 +508,20 @@ _P2_SYMBOL_HEX = """
 
 
 def test_p2_symbol_column_is_bit_exact(capsys):
-    code, out, _ = run_cli(capsys, "symbol", "--problem", "p2", "--n", "3", "--rho", "2+cos(t)",
+    code, out, _ = run_cli(capsys, "symbol", "--problem", "p2", "--n", "2", "--rho", "2+cos(t)",
                            "--points", "72")
     assert code == 0
     _, rows = parse_csv(out)
     assert [float(r[2]).hex() for r in rows[:-1]] == ["0x" + h for h in _P2_SYMBOL_HEX]
+
+
+def test_symbol_rows_sample_the_polar_angle_for_n_3(capsys):
+    # a zonal weight of the polar angle t in [0, pi]: 4 - t is positive there
+    code, out, _ = run_cli(capsys, "symbol", "--n", "3", "--rho", "4-t", "--points", "8")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [float(r[0]) for r in rows[:-1]] == [math.pi * j / 8 for j in range(8)]
+    assert [float(r[1]) for r in rows[:-1]] == [4.0 - math.pi * j / 8 for j in range(8)]
 
 
 def test_symbol_rejects_negative_weight(capsys):
@@ -699,7 +721,10 @@ def _fresh_python(code):
     # q^(3/2) past the double range, the weighted value past it, the value below it
     "symbol --problem p2 --eta 1e120", "halfspace --problem p2 --eta 1e120",
     "symbol --problem p1 --eta 1e150 --rho 1e-200 --points 2",
-    "symbol --problem p2 --eta 1e-110", "halfspace --problem p2 --eta 1e-110"])
+    "symbol --problem p2 --eta 1e-110", "halfspace --problem p2 --eta 1e-110",
+    # a subnormal symbol or form
+    "symbol --problem p2 --eta=-1e-107", "symbol --problem p1 --eta 1e-160",
+    "halfspace --problem p1 --eta 1e-160 --levels 2", "halfspace --problem p1 --n 3 --eta 1e-160"])
 def test_overflowing_inputs_print_only_the_refusal(argv):
     # a fresh process, so that a numpy overflow warning would reach stderr
     proc = _fresh("-m", "bisteklov", *argv.split())

@@ -229,7 +229,7 @@ def test_p1_error_falls_monotonically_to_h_65536(block):
     # a pentadiagonal LU with one long-double refinement step gave 0.45 at 1/16384
     A, eta = (MetricBlock.identity(2), np.array([1.0])) if block == "identity" else random_block(5)
     k = xi_norm(A, eta)
-    target = 2.0 * math.sqrt(float(eta @ A.a_tan @ eta))
+    target = 2.0 * math.sqrt(float(eta @ A.a_tan.matrix @ eta))
     errors = []
     for scaled in (2.0 ** p for p in range(9, 17)):
         h = 1.0 / (scaled * k)
@@ -245,7 +245,7 @@ def test_p2_error_falls_monotonically_to_h_65536(block):
     # read from v: the h^-3 wall stencil on u gave 8.6e-4 at 1/11585 and 0.0625 at 1/65536
     A, eta = (MetricBlock.identity(2), np.array([1.0])) if block == "identity" else random_block(5)
     k = xi_norm(A, eta)
-    target = 2.0 * float(eta @ A.a_tan @ eta) ** 1.5
+    target = 2.0 * float(eta @ A.a_tan.matrix @ eta) ** 1.5
     errors = []
     for scaled in (2.0 ** p for p in range(9, 17)):
         h = 1.0 / (scaled * k)
@@ -559,7 +559,7 @@ def _full_grid_synthesis(A, y, phi, h, points, eta_max, eta_points):
     transform = dy * np.exp(-1j * np.outer(etas, y))
     phi_hat = transform @ (zero if phi is None else phi)
     h_hat = transform @ (zero if h is None else h)
-    rate = math.sqrt(A.a_tan[0, 0] / A.a_nn) * np.abs(etas)
+    rate = math.sqrt(A.a_tan.matrix[0, 0] / A.a_nn) * np.abs(etas)
     out = []
     for xp, xn in points:
         decay = np.exp(-rate * xn)

@@ -35,3 +35,12 @@ def test_the_check_sees_an_unread_parameter():
                      "        return 0\n")
     assert [(fn, name) for _, fn, name in _unread_parameters(tree)] == [
         ("f", "a"), ("f", "rest"), ("f", "key"), ("m", "x")]
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    private = [f"{path.name}:{node.lineno} {alias.name}" for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("bisteklov"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
