@@ -247,6 +247,8 @@ def _build_config(cfg: argparse.Namespace) -> argparse.Namespace:
     for field in given:
         if "mode" in settings and cfg.mode not in settings[field].modes:
             raise ValueError(f"--{field.replace('_', '-')} is not read in {cfg.mode} mode")
+    if "eta" in given and "seed" in given:
+        raise ValueError("--eta is not read with --seed: the seed draws the covector")
     if "problem" in settings:
         cfg.problem = ProblemKind(cfg.problem)
     return cfg
@@ -324,10 +326,9 @@ def cmd_weyl(cfg: argparse.Namespace) -> None:
     """Counting function vs its growth law, with sharpness summary."""
     c = _constant_rho(cfg)
     spec = _scaled_spectrum(cfg, c)
-    try:  # the boundary integral of the constant weight
-        integral = c ** (cfg.n - 1) * counting.sphere_area(cfg.n)
-    except OverflowError:
-        raise ValueError(f"weight {c:.6g} is too large: rho^(n-1) overflows a double") from None
+    integral = symbols.in_double_range(  # the boundary integral of the constant weight
+        lambda: c ** (cfg.n - 1) * counting.sphere_area(cfg.n),
+        f"weight {c:.6g} out of range: rho^(n-1) |S^(n-1)| leaves the double range")
     model = counting.WeylModel(cfg.problem, cfg.n, integral)
     samples = tuple((tau, count) for tau, count in zip(spec.values, spec.cumulative) if tau > 0)
     report = counting.remainder_fit(counting.CountingSeries(samples), model)

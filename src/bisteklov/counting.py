@@ -18,17 +18,15 @@ from typing import Callable
 import numpy as np
 
 from .spectra import ProblemKind, Spectrum
-from .symbols import HomogeneousSymbol, principal
+from .symbols import HomogeneousSymbol, in_double_range, principal
 
 
 def unit_ball_volume(k: int) -> float:
     """Volume of the unit ball in k-space (1.0 for k = 0)."""
     if k < 0:
         raise ValueError("dimension must be nonnegative")
-    try:
-        return math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
-    except OverflowError:
-        raise ValueError(f"dimension {k} is too large: Gamma({k}/2 + 1) overflows") from None
+    return in_double_range(lambda: math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0),
+                           f"dimension {k} is too large: Gamma({k}/2 + 1) overflows")
 
 
 def sphere_area(n: int) -> float:
@@ -45,10 +43,12 @@ def weyl_leading(problem: ProblemKind, n: int, boundary_integral: float) -> floa
         raise ValueError("boundary integral must be positive and finite")
     degree, coeff = principal(problem)
     base = 2.0 * math.pi * coeff ** (1.0 / degree)
-    try:
-        return unit_ball_volume(n - 1) * boundary_integral / base ** (n - 1)
-    except OverflowError:
-        raise ValueError(f"n = {n} is too large: base^(n-1) overflows a double") from None
+    # base > 1, so only a large n takes base^(n-1) out of range; the quotient depends on the weight
+    power = in_double_range(lambda: base ** (n - 1),
+                            f"n = {n} is too large: base^(n-1) overflows a double")
+    return in_double_range(lambda: unit_ball_volume(n - 1) * boundary_integral / power,
+                           f"C_lead out of range: omega_{n - 1} * {boundary_integral:.6g} "
+                           f"/ base^{n - 1} leaves the double range")
 
 
 @dataclass(frozen=True)
@@ -59,16 +59,17 @@ class WeylModel:
     n: int
     boundary_integral: float
     c_lead: float = field(init=False)
+    _predicted_message: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "c_lead",
                            weyl_leading(self.problem, self.n, self.boundary_integral))
+        object.__setattr__(self, "_predicted_message",
+                           f"n = {self.n}: the predicted count C_lead tau^(n-1) leaves the "
+                           "double range")
 
     def predicted(self, tau: float) -> float:
-        try:
-            return self.c_lead * tau ** (self.n - 1)
-        except OverflowError:
-            raise ValueError(f"n = {self.n} is too large: tau^(n-1) overflows a double") from None
+        return in_double_range(lambda: self.c_lead * tau ** (self.n - 1), self._predicted_message)
 
     def scaled_residual(self, tau: float, count: int) -> float:
         return (count - self.predicted(tau)) / tau ** (self.n - 2)
@@ -191,15 +192,15 @@ def boundary_integral(weight: BoundaryWeight, n: int, panels: int) -> float:
             wts.extend((0.5 * width * weights).tolist())
         return pts, wts  # Python floats: a sum past the double range is inf, not a warning
 
-    total = 0.0
-    try:  # r ** (n - 1) raises OverflowError past the double range
+    def total() -> float:
+        value = 0.0
         if len(weight.domain) == 1:
             pts, wts = axis_points(*weight.domain[0])
             for t, w in zip(pts, wts):
                 r = weight.rho(t)
                 if r < 0:
                     raise ValueError(f"negative weight sample at t={t}")
-                total += w * r ** (n - 1) * weight.area_element(t)
+                value += w * r ** (n - 1) * weight.area_element(t)
         else:
             pts1, wts1 = axis_points(*weight.domain[0])
             pts2, wts2 = axis_points(*weight.domain[1])
@@ -208,12 +209,11 @@ def boundary_integral(weight: BoundaryWeight, n: int, panels: int) -> float:
                     r = weight.rho(t1, t2)
                     if r < 0:
                         raise ValueError(f"negative weight sample at ({t1}, {t2})")
-                    total += w1 * w2 * r ** (n - 1) * weight.area_element(t1, t2)
-    except OverflowError:
-        total = math.inf
-    if total == math.inf:
-        raise ValueError("weight too large: the integral of rho^(n-1) overflows a double")
-    return total
+                    value += w1 * w2 * r ** (n - 1) * weight.area_element(t1, t2)
+        return value
+
+    return in_double_range(total, "weight out of range: the integral of rho^(n-1) must be "
+                                  "positive and in the normal double range")
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +282,10 @@ def hormander_phase_volume(symbol: HomogeneousSymbol, x) -> float:
     _require_ellipsoidal(symbol)
     _homogeneity_probe(symbol, x)
     dim = symbol.metric.dim
-    try:
-        volume = unit_ball_volume(dim) * symbol.coeff(x) ** (-dim / symbol.degree)
-    except OverflowError:
-        volume = math.inf
-    if volume == math.inf:
-        raise ValueError(f"weight too large: the phase volume c^(-{dim}/{symbol.degree:g}) "
-                         "overflows a double")
-    return volume
+    degree = symbol.degree
+    return in_double_range(lambda: unit_ball_volume(dim) * symbol.coeff(x) ** (-dim / degree),
+                           f"phase volume out of range: omega_{dim} c^(-{dim}/{degree:g}) "
+                           "leaves the double range")
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +334,9 @@ def gamma_identity_check(n: int) -> float:
     the counting constant omega_(n-1) * n * omega_n / (4 pi)^(n-1)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    try:
-        lhs = 1.0 / (2.0 ** (n - 2) * math.factorial(n - 1))
-    except OverflowError:
-        raise ValueError(f"n = {n} is too large: (n-1)! overflows a double") from None
-    rhs = unit_ball_volume(n - 1) * n * unit_ball_volume(n) / (4.0 * math.pi) ** (n - 1)
+    lhs = in_double_range(lambda: 1.0 / (2.0 ** (n - 2) * math.factorial(n - 1)),
+                          f"n = {n} is too large: 1 / (2^(n-2) (n-1)!) leaves the double range")
+    rhs = in_double_range(
+        lambda: unit_ball_volume(n - 1) * n * unit_ball_volume(n) / (4.0 * math.pi) ** (n - 1),
+        f"n = {n} is too large: omega_(n-1) n omega_n / (4 pi)^(n-1) leaves the double range")
     return abs(lhs - rhs)

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import BoundaryMetric, quadratic_form
+from .symbols import BoundaryMetric, in_double_range, quadratic_form
 
 
 class SolverError(RuntimeError):
@@ -82,10 +81,9 @@ class HalfSpaceGrid:
 
 def xi_norm(A: MetricBlock, eta) -> float:
     """Normal-variable decay rate sqrt(q(eta) / a_nn), q the tangential form."""
-    rate2 = quadratic_form(A.a_tan, eta) / A.a_nn
-    if not sys.float_info.min <= rate2 < math.inf:
-        raise ValueError("covector must be nonzero and finite, with a norm in double range")
-    return math.sqrt(rate2)
+    return math.sqrt(in_double_range(
+        lambda: quadratic_form(A.a_tan, eta) / A.a_nn,
+        "covector must be nonzero and finite, with a norm in double range"))
 
 
 # ---------------------------------------------------------------------------

@@ -58,17 +58,27 @@ class BoundaryMetric:
         return BoundaryMetric(np.eye(dim))
 
 
+def in_double_range(compute: Callable[[], float], message: str) -> float:
+    """``compute()``, bit for bit, if it is a finite normal double (a subnormal keeps only a
+    few digits); else ValueError(message).  OverflowError and ZeroDivisionError count as inf."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not sys.float_info.min <= value < math.inf:  # also False for nan
+        raise ValueError(message)
+    return value
+
+
 def quadratic_form(metric: BoundaryMetric, eta) -> float:
     """eta' . g^{-1} . eta', rejecting a form that is zero, non-finite or
     outside the normal double range."""
     eta = np.asarray(eta, dtype=float).reshape(-1)
     if eta.shape != (metric.dim,):
         raise ValueError(f"covector must have {metric.dim} components")
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below refuses inf and nan
-        q = float(eta @ metric.matrix @ eta)
-    if not sys.float_info.min <= q < math.inf:  # a subnormal form keeps only a few digits
-        raise ValueError("covector must be nonzero and finite, with a form in double range")
-    return q
+    with np.errstate(over="ignore", invalid="ignore"):  # in_double_range refuses inf and nan
+        return in_double_range(lambda: float(eta @ metric.matrix @ eta),
+                               "covector must be nonzero and finite, with a form in double range")
 
 
 @dataclass(frozen=True)
@@ -116,32 +126,23 @@ def steklov_symbol(problem: ProblemKind, metric: BoundaryMetric,
     weight rho + epsilon; ``weight=None`` means rho = 1, the unweighted symbol."""
     degree, coeff = principal(problem)
     rho = (lambda x: 1.0) if weight is None else weight.rho_plus_eps
+    weight_message = f"weight out of range: {coeff:g} / rho^{degree:g} leaves the double range"
+    value_message = (f"symbol out of range: {coeff:g} q^{degree / 2:g} / rho^{degree:g} "
+                     "leaves the double range")
 
     def weighted(r: float) -> float:
-        try:
-            c = coeff / r ** degree
-        except (OverflowError, ZeroDivisionError):  # rho^degree past or below the double range
-            c = 0.0
-        if not sys.float_info.min <= c < math.inf:
-            raise ValueError(f"weight out of range: {coeff:g} / rho^{degree:g} leaves the double range")
-        return c
+        return in_double_range(lambda: coeff / r ** degree, weight_message)
 
     def fn(x, eta) -> float:
         r = rho(x)
         inv = 1.0 / r
-        try:
-            value = coeff * quadratic_form(metric, eta) ** (degree / 2.0)
-        except OverflowError:  # q^(degree/2) past the double range
-            value = math.inf
+        q = quadratic_form(metric, eta)
         weighted(r)  # refuses a weight whose coeff / rho^degree leaves the double range
         # the degree factors 1/rho multiply the unweighted value left to right: this order keeps
         # acceptance criterion 11 and the `symbol` golden CSV bit-exact; with no weight they are
         # 1.0, which is exact
-        value *= math.prod([inv] * int(degree))
-        if not sys.float_info.min <= value < math.inf:
-            raise ValueError(f"symbol out of range: {coeff:g} q^{degree / 2:g} / rho^{degree:g} "
-                             "leaves the double range")
-        return value
+        return in_double_range(
+            lambda: coeff * q ** (degree / 2.0) * math.prod([inv] * int(degree)), value_message)
 
     return HomogeneousSymbol(degree, fn, lambda x: weighted(rho(x)), metric)
 

@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -279,9 +280,10 @@ def test_kernel_mode_window_just_inside_the_alias_bound(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    ("identity-check --n 172", "n = 172 is too large: (n-1)!"),
+    # 1 / (2^(n-2) (n-1)!) is subnormal from n = 152 on, and the check runs n = 2, 3, ...
+    ("identity-check --n 172", "n = 152 is too large: 1 / (2^(n-2) (n-1)!)"),
     ("weyl --problem p1 --n 300 --m-max 30", "n = 300 is too large: base^(n-1)"),
-    ("weyl --problem p1 --n 100 --m-max 1000", "n = 100 is too large: tau^(n-1)"),
+    ("weyl --problem p1 --n 100 --m-max 1000", "n = 100: the predicted count C_lead tau^(n-1)"),
     ("symbol --n 282 --points 1", "n = 282 is too large: base^(n-1)"),
     ("symbol --problem p2 --n 343 --points 1", "dimension 342 is too large: Gamma(342/2 + 1)"),
 ])
@@ -291,15 +293,15 @@ def test_dimensions_past_double_range_exit_2(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv, message", [
-    ("symbol --problem p1 --n 100 --rho 1e5 --points 2", "phase volume c^(-99/1) overflows"),
+    ("symbol --problem p1 --n 100 --rho 1e5 --points 2", "omega_99 c^(-99/1) leaves the double range"),
     ("symbol --problem p2 --rho 1e300 --points 2", "2 / rho^3 leaves the double range"),
     ("symbol --problem p2 --rho 1e-120 --points 2", "2 / rho^3 leaves the double range"),
     ("symbol --problem p1 --rho 1e-320 --points 2", "2 / rho^1 leaves the double range"),
     # 2 / 1e308 is subnormal; 2 / 5e307 is normal, and the integral then overflows
     ("symbol --problem p1 --rho 1e308 --points 2", "2 / rho^1 leaves the double range"),
-    ("symbol --problem p1 --rho 5e307 --points 2", "integral of rho^(n-1) overflows"),
-    ("weyl --problem p1 --n 40 --m-max 64 --rho 1e10", "weight 1e+10 is too large: rho^(n-1)"),
-    ("weyl --problem p1 --m-max 64 --rho 1.7e308", "boundary integral must be positive and finite"),
+    ("symbol --problem p1 --rho 5e307 --points 2", "integral of rho^(n-1) must be positive"),
+    ("weyl --problem p1 --n 40 --m-max 64 --rho 1e10", "weight 1e+10 out of range: rho^(n-1)"),
+    ("weyl --problem p1 --m-max 64 --rho 1.7e308", "weight 1.7e+308 out of range: rho^(n-1)"),
     ("spectrum --problem p1 --n 2 --m-max 4 --rho 1e-310", "weight 1e-310 is too small"),
     ("weyl --problem p1 --n 2 --m-max 4 --rho 1e-310", "weight 1e-310 is too small"),
     ("spectrum --problem p2 --m-max 4 --rho 1e400", "weight constant must be positive and finite"),
@@ -440,6 +442,34 @@ def test_exit_code_sweep_of_covectors_past_the_double_range():
             column = header.index("symbol" if argv[0] == "symbol" else "target")
             assert all(sys.float_info.min <= float(r[column]) < math.inf
                        for r in rows if r[column]), argv
+
+
+def test_exit_code_sweep_of_weights_and_dimensions_past_the_double_range():
+    # constant weights whose symbol, phase volume, integral of rho^(n-1) or C_lead leaves
+    # the normal double range in some dimension, and the identity check either side of
+    # n = 152, where 1 / (2^(n-2) (n-1)!) turns subnormal: each run exits 2, or exits 0
+    # with every such cell a normal finite double and every residual small
+    runs = [["symbol", "--problem", p, "--n", str(n), "--rho", rho, "--points", "3"]
+            for p in ("p1", "p2", "harmonic") for n in range(2, 6)
+            for rho in ("1e-160", "1e-105", "1e-100", "1e150", "1e300", "2+cos(t)")]
+    runs += [["identity-check", "--n", n] for n in ("151", "152")]
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2), (argv, code, err.getvalue())
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue().count("error:") == 1, argv
+            continue
+        _, rows = parse_csv(out.getvalue())
+        if argv[0] == "identity-check":
+            # the residual is a rounding error of 1 / (2^(n-2) (n-1)!), not the value itself
+            assert all(float(r) <= 1e-10 * float(Fraction(1, 2 ** (int(n) - 2)
+                                                          * math.factorial(int(n) - 1)))
+                       for n, r in rows), argv
+            continue
+        cells = [r[2:4] for r in rows[:-1]] + [rows[-1][1:3]]
+        assert all(sys.float_info.min <= float(c) < math.inf for pair in cells for c in pair), argv
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +671,18 @@ def test_kernel_mode_refuses_the_bvp_flags(tmp_path, capsys):
             assert code == 2 and out == "" and f"{flag} is not read in kernel mode" in err, argv
     code, out, err = run_cli(capsys, "halfspace", "--levels", "1", "--samples", "16", "--xn", "2")
     assert code == 2 and out == "" and "is not read in bvp mode" in err
+
+
+def test_seeded_runs_refuse_eta(tmp_path, capsys):
+    # the seed draws the covector, so an --eta beside it would go unread
+    both, eta = tmp_path / "both.cfg", tmp_path / "eta.cfg"
+    both.write_text("seed = 3\neta = 5\n")
+    eta.write_text("eta = 5\n")
+    for argv in (["--seed", "3", "--eta", "5"], ["--config", str(both)],
+                 ["--seed", "3", "--config", str(eta)]):
+        code, out, err = run_cli(capsys, "halfspace", "--levels", "1", *argv)
+        assert code == 2 and out == "" and err.count("error:") == 1, argv
+        assert "--eta is not read with --seed" in err, argv
 
 
 def test_readme_flag_lists_match_the_parsers():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -58,6 +59,30 @@ def test_symbols_reject_zero_covector():
         steklov_symbol(P2, ident)(None, [0.0, 0.0])
     with pytest.raises(ValueError):
         quadratic_form(ident, [1.0])  # wrong size
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("compute", [
+    lambda: _raise(OverflowError()), lambda: 1.0 / 0.0, lambda: math.inf, lambda: math.nan,
+    lambda: 0.0, lambda: -1.0, lambda: 5e-324, lambda: -math.inf,
+], ids=["OverflowError", "ZeroDivisionError", "inf", "nan", "zero", "negative", "subnormal",
+        "-inf"])
+def test_in_double_range_refuses_what_is_not_a_finite_normal_double(compute):
+    with pytest.raises(ValueError, match="^the message$"):
+        symbols.in_double_range(compute, "the message")
+
+
+@pytest.mark.parametrize("value", [sys.float_info.min, 1.0, 0.1 + 0.2, 2e160, sys.float_info.max])
+def test_in_double_range_returns_a_normal_value_bit_for_bit(value):
+    assert symbols.in_double_range(lambda: value, "unused").hex() == value.hex()
+
+
+def test_in_double_range_lets_other_errors_through():
+    with pytest.raises(ValueError, match="inner"):
+        symbols.in_double_range(lambda: _raise(ValueError("inner")), "outer")
 
 
 def test_metric_validation():

@@ -44,3 +44,47 @@ def test_no_module_imports_a_private_name_of_a_sibling():
                and (node.level or (node.module or "").startswith("bisteklov"))
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def _range_checks(tree):
+    """Line of each ``except`` naming OverflowError or ZeroDivisionError and of each
+    read of ``float_info.min``: the double-range checks."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            names = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+            if names & {"OverflowError", "ZeroDivisionError"}:
+                yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr == "min" and "float_info" in (
+                getattr(node.value, "attr", None), getattr(node.value, "id", None)):
+            yield node.lineno
+
+
+def _outside_in_double_range(tree):
+    helpers = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "in_double_range"]
+    return [line for line in _range_checks(tree)
+            if not any(h.lineno <= line <= h.end_lineno for h in helpers)]
+
+
+def test_only_in_double_range_checks_the_double_range():
+    stray = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _outside_in_double_range(ast.parse(path.read_text()))]
+    assert stray == []
+    assert len(list(_range_checks(ast.parse((SRC / "symbols.py").read_text())))) == 2
+
+
+def test_the_check_sees_a_hand_written_range_check():
+    tree = ast.parse("import sys\n"
+                     "from sys import float_info\n"
+                     "def in_double_range(f):\n"
+                     "    try:\n"
+                     "        return f()\n"
+                     "    except (OverflowError, ZeroDivisionError):\n"
+                     "        return sys.float_info.min\n"
+                     "def g(x):\n"
+                     "    try:\n"
+                     "        return 1 / x\n"
+                     "    except ZeroDivisionError:\n"
+                     "        return float_info.min\n"
+                     "LOW = sys.float_info.min\n")
+    assert sorted(_outside_in_double_range(tree)) == [11, 12, 13]
