@@ -14,9 +14,7 @@ import math
 import sys
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from . import counting, halfspace, spectra, symbols
+from . import counting, spectra, symbols
 from .spectra import ProblemKind
 
 
@@ -342,7 +340,14 @@ def cmd_weyl(cfg: argparse.Namespace) -> None:
     _emit(["tau", "count", "predicted", "residual_scaled"], rows, cfg.out)
 
 
+# halfspace and numpy are imported by the commands that build arrays only, so that
+# spectrum, weyl and identity-check never load numpy
+
 def _halfspace_bvp(cfg: argparse.Namespace) -> None:
+    import numpy as np
+
+    from . import halfspace
+
     # the finest rung has ceil(L/h) steps whatever the covector
     if not cfg.L / cfg.h <= _MAX_STEPS:
         raise ValueError(f"grid too fine: L/h = {cfg.L / cfg.h:.6g} steps, at most {_MAX_STEPS}")
@@ -389,6 +394,10 @@ def _halfspace_bvp(cfg: argparse.Namespace) -> None:
 def _halfspace_kernel(cfg: argparse.Namespace) -> None:
     if cfg.n != 2:
         raise ValueError("kernel mode runs on the half-plane (n = 2)")
+    import numpy as np
+
+    from . import halfspace
+
     block = halfspace.MetricBlock.identity(2)
     y = np.linspace(-cfg.L / 2.0, cfg.L / 2.0, cfg.samples)
     with np.errstate(over="ignore"):  # y^2 past the double range: exp(-inf) = 0 is the datum
@@ -413,6 +422,8 @@ def cmd_halfspace(cfg: argparse.Namespace) -> None:
 
 def cmd_symbol(cfg: argparse.Namespace) -> None:
     """Weighted symbol and phase volume over the boundary."""
+    import numpy as np
+
     expr = WeightExpr(cfg.rho)
     if cfg.n == 2:
         weight = counting.unit_circle_weight(expr.fn, cfg.epsilon)
@@ -486,7 +497,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except halfspace.SolverError as exc:
+    except symbols.SolverError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

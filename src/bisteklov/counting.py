@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from .spectra import ProblemKind, Spectrum
 from .symbols import HomogeneousSymbol, in_double_range, principal
 
@@ -60,6 +58,7 @@ class WeylModel:
     boundary_integral: float
     c_lead: float = field(init=False)
     _predicted_message: str = field(init=False, repr=False, compare=False)
+    _residual_message: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "c_lead",
@@ -67,12 +66,31 @@ class WeylModel:
         object.__setattr__(self, "_predicted_message",
                            f"n = {self.n}: the predicted count C_lead tau^(n-1) leaves the "
                            "double range")
+        object.__setattr__(self, "_residual_message",
+                           f"n = {self.n}: tau^(n-2) of the scaled residual leaves the double range")
 
     def predicted(self, tau: float) -> float:
-        return in_double_range(lambda: self.c_lead * tau ** (self.n - 1), self._predicted_message)
+        def product() -> float:
+            k = self.n - 1
+            mantissa, exponent = math.frexp(tau)
+            if exponent * k > 1024:  # tau^(n-1) = mantissa^(n-1) 2^(exponent (n-1)) may overflow
+                power, power_exponent = math.frexp(mantissa ** k)
+                if power_exponent + exponent * k > 1024:
+                    # it does, before a small C_lead scales it down: multiply the mantissas
+                    # and add the exponents, which ldexp applies exactly
+                    c_mantissa, c_exponent = math.frexp(self.c_lead)
+                    return math.ldexp(c_mantissa * power,
+                                      c_exponent + power_exponent + exponent * k)
+            return self.c_lead * tau ** k
+
+        return in_double_range(product, self._predicted_message)
 
     def scaled_residual(self, tau: float, count: int) -> float:
-        return (count - self.predicted(tau)) / tau ** (self.n - 2)
+        residual, k = count - self.predicted(tau), self.n - 2
+        if math.frexp(tau)[1] * k <= 1023:  # tau^(n-2) < 2^1023
+            return residual / tau ** k
+        # the predicted count may be in range where tau^(n-2) is not
+        return residual / in_double_range(lambda: tau ** k, self._residual_message)
 
 
 @dataclass(frozen=True)
@@ -181,6 +199,8 @@ def boundary_integral(weight: BoundaryWeight, n: int, panels: int) -> float:
         raise ValueError("need panels >= 1")
     if n < 2:
         raise ValueError("need n >= 2")
+    import numpy as np
+
     nodes, weights = np.polynomial.legendre.leggauss(16)
 
     def axis_points(a: float, b: float):
@@ -235,6 +255,8 @@ def _require_ellipsoidal(symbol: HomogeneousSymbol) -> None:
 
 
 def _homogeneity_probe(symbol: HomogeneousSymbol, x) -> None:
+    import numpy as np
+
     dim = symbol.metric.dim
     eta = np.ones(dim) / math.sqrt(dim)
     v1 = symbol(x, eta)
@@ -254,6 +276,8 @@ def phase_volume_montecarlo(symbol: HomogeneousSymbol, x, samples: int,
     """
     if samples <= 0:
         raise ValueError("need samples > 0")
+    import numpy as np
+
     _require_ellipsoidal(symbol)
     _homogeneity_probe(symbol, x)
     g = symbol.metric.matrix

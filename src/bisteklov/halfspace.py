@@ -16,15 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import BoundaryMetric, in_double_range, quadratic_form
-
-
-class SolverError(RuntimeError):
-    """Numerical failure inside a solve (singular system, blow-up)."""
-
-
-class AdequacyError(ValueError):
-    """Domain truncation too short for the requested covector."""
+from .symbols import (AdequacyError, BoundaryMetric, SolverError, in_double_range,
+                      quadratic_form)
 
 
 @dataclass(frozen=True, eq=False)

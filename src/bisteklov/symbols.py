@@ -12,17 +12,21 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-import numpy as np
-
 from .spectra import ProblemKind
 
+# numpy is imported inside the functions that build arrays, so that the exact commands
+# (spectrum, constant-weight weyl, identity-check) never load it
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from .counting import BoundaryWeight
 
 
 def _check_spd(matrix, what: str) -> np.ndarray:
     """``matrix`` as a float array, checked square, symmetric (to 1e-12) and
     positive definite; ``what`` names it in the error."""
+    import numpy as np
+
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{what} must be square")
@@ -55,7 +59,17 @@ class BoundaryMetric:
 
     @staticmethod
     def identity(dim: int) -> "BoundaryMetric":
+        import numpy as np
+
         return BoundaryMetric(np.eye(dim))
+
+
+class SolverError(RuntimeError):
+    """Numerical failure inside a solve (singular system, blow-up)."""
+
+
+class AdequacyError(ValueError):
+    """Domain truncation too short for the requested covector."""
 
 
 def in_double_range(compute: Callable[[], float], message: str) -> float:
@@ -73,6 +87,8 @@ def in_double_range(compute: Callable[[], float], message: str) -> float:
 def quadratic_form(metric: BoundaryMetric, eta) -> float:
     """eta' . g^{-1} . eta', rejecting a form that is zero, non-finite or
     outside the normal double range."""
+    import numpy as np
+
     eta = np.asarray(eta, dtype=float).reshape(-1)
     if eta.shape != (metric.dim,):
         raise ValueError(f"covector must have {metric.dim} components")

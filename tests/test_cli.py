@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bisteklov import ProblemKind, cli, halfspace
+import bisteklov
+from bisteklov import ProblemKind, cli, halfspace, symbols
 from bisteklov.counting import sphere_area, weyl_leading
 from bisteklov.cli import WeightExpr, main
 
@@ -283,7 +285,8 @@ def test_kernel_mode_window_just_inside_the_alias_bound(capsys):
     # 1 / (2^(n-2) (n-1)!) is subnormal from n = 152 on, and the check runs n = 2, 3, ...
     ("identity-check --n 172", "n = 152 is too large: 1 / (2^(n-2) (n-1)!)"),
     ("weyl --problem p1 --n 300 --m-max 30", "n = 300 is too large: base^(n-1)"),
-    ("weyl --problem p1 --n 100 --m-max 1000", "n = 100: the predicted count C_lead tau^(n-1)"),
+    # the predicted count is in range there, but tau^(n-2) = 2100^98 is not
+    ("weyl --problem p1 --n 100 --m-max 1000", "n = 100: tau^(n-2) of the scaled residual"),
     ("symbol --n 282 --points 1", "n = 282 is too large: base^(n-1)"),
     ("symbol --problem p2 --n 343 --points 1", "dimension 342 is too large: Gamma(342/2 + 1)"),
 ])
@@ -447,12 +450,15 @@ def test_exit_code_sweep_of_covectors_past_the_double_range():
 def test_exit_code_sweep_of_weights_and_dimensions_past_the_double_range():
     # constant weights whose symbol, phase volume, integral of rho^(n-1) or C_lead leaves
     # the normal double range in some dimension, and the identity check either side of
-    # n = 152, where 1 / (2^(n-2) (n-1)!) turns subnormal: each run exits 2, or exits 0
-    # with every such cell a normal finite double and every residual small
+    # n = 152, where 1 / (2^(n-2) (n-1)!) turns subnormal, and small constant weights in
+    # weyl, whose tau^(n-1) may overflow where C_lead tau^(n-1) does not: each run exits 2,
+    # or exits 0 with every such cell a normal finite double and every residual small
     runs = [["symbol", "--problem", p, "--n", str(n), "--rho", rho, "--points", "3"]
             for p in ("p1", "p2", "harmonic") for n in range(2, 6)
             for rho in ("1e-160", "1e-105", "1e-100", "1e150", "1e300", "2+cos(t)")]
     runs += [["identity-check", "--n", n] for n in ("151", "152")]
+    runs += [["weyl", "--problem", "p1", "--n", str(n), "--m-max", "300", "--rho", rho]
+             for n in (3, 4, 5) for rho in ("1e-60", "1e-100", "1e-150", "1e-200")]
     for argv in runs:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -467,6 +473,9 @@ def test_exit_code_sweep_of_weights_and_dimensions_past_the_double_range():
             assert all(float(r) <= 1e-10 * float(Fraction(1, 2 ** (int(n) - 2)
                                                           * math.factorial(int(n) - 1)))
                        for n, r in rows), argv
+            continue
+        if argv[0] == "weyl":  # the predicted counts
+            assert all(sys.float_info.min <= float(r[2]) < math.inf for r in rows[:-1]), argv
             continue
         cells = [r[2:4] for r in rows[:-1]] + [rows[-1][1:3]]
         assert all(sys.float_info.min <= float(c) < math.inf for pair in cells for c in pair), argv
@@ -745,15 +754,15 @@ def test_unknown_flag_exits_2():
     assert proc.returncode == 2
 
 
-def _fresh(*args):
+def _fresh(*args, cwd=None):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          env=dict(os.environ, PYTHONPATH=path), cwd=cwd)
 
 
-def _fresh_python(code):
-    proc = _fresh("-c", code)
+def _fresh_python(code, cwd=None):
+    proc = _fresh("-c", code, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
@@ -796,3 +805,88 @@ def test_kernel_mode_does_not_load_scipy():
         "             '--out', os.devnull])\n"
         "print(code, 'scipy' in sys.modules)")
     assert out == "0 False"
+
+
+# ---------------------------------------------------------------------------
+# the exact commands never load numpy
+# ---------------------------------------------------------------------------
+
+_EXACT_COMMANDS = ("spectrum --problem p1 --n 3 --m-max 10",
+                   "weyl --problem p2 --m-max 10000 --out flux_counts.csv",
+                   "identity-check --n 12")
+
+
+def test_import_and_the_exact_readme_commands_do_not_load_numpy(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    argvs = []
+    for line in _EXACT_COMMANDS:
+        assert f"bisteklov {line}\n" in readme
+        argvs.append(line.split())
+    out = _fresh_python(
+        "import contextlib, io, sys, bisteklov\n"
+        "from bisteklov.cli import main\n"
+        "seen = ['numpy' in sys.modules]\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        seen.append((main(argv), 'numpy' in sys.modules))\n"
+        "print(seen)", cwd=tmp_path)
+    assert out == "[False, (0, False), (0, False), (0, False)]"
+    assert (tmp_path / "flux_counts.csv").stat().st_size > 0
+
+
+# the names the package exported when it imported every submodule eagerly
+_PUBLIC_NAMES = [
+    "AdequacyError", "BasisSizeError", "BoundaryMetric", "BoundaryWeight", "CountingSeries",
+    "EigenpairCheck", "FourierDatum", "HalfSpaceGrid", "HarmonicPoly", "HomogeneousSymbol",
+    "MetricBlock", "MonteCarloVolume", "ProblemKind", "RemainderReport", "SolverError",
+    "Spectrum", "SpectrumEntry", "WeylModel", "ball_count_closed", "ball_spectrum_p1",
+    "boundary_integral", "bvp_solve_p1", "bvp_solve_p2", "count_upto", "counting",
+    "disk_spectrum_harmonic", "disk_spectrum_p2", "fourier_solution_p1", "fourier_solution_p2",
+    "fourier_synthesis", "gamma_identity_check", "halfspace", "harmonic_basis", "harmonic_dim",
+    "hormander_phase_volume", "kernel_K", "phase_volume_montecarlo", "quadratic_form",
+    "radial_verify_p2", "reciprocal_weight_symbol", "remainder_fit", "solve_by_kernel",
+    "spectra", "sphere_area", "steklov_symbol", "symbol_compose", "symbol_steklov", "symbols",
+    "theta_symbol", "unit_ball_volume", "unit_circle_weight", "unit_sphere_weight",
+    "verify_ball_eigenpair", "weyl_leading", "xi_norm",
+]
+
+
+def test_lazy_package_lists_and_resolves_every_public_name():
+    out = _fresh_python(
+        "import sys, bisteklov\n"
+        "names = sorted(bisteklov.__all__)\n"
+        "listed = set(names) <= set(dir(bisteklov))\n"
+        "print(names, listed, 'numpy' in sys.modules)")
+    assert out == f"{_PUBLIC_NAMES!r} True False"
+    for name in _PUBLIC_NAMES:  # each name is its defining module's object, or that module
+        value = getattr(bisteklov, name)
+        if isinstance(value, types.ModuleType):
+            assert value is sys.modules[f"bisteklov.{name}"]
+        else:
+            assert getattr(sys.modules[value.__module__], name) is value
+    with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
+        bisteklov.nosuch
+
+
+def test_error_classes_are_one_class_each():
+    assert bisteklov.SolverError is halfspace.SolverError is symbols.SolverError
+    assert bisteklov.AdequacyError is halfspace.AdequacyError is symbols.AdequacyError
+    assert issubclass(symbols.SolverError, RuntimeError)
+    assert issubclass(symbols.AdequacyError, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# small constant weights: the predicted count from factors in range
+# ---------------------------------------------------------------------------
+
+def test_small_weight_predicts_the_count_of_the_unit_weight(capsys):
+    code, out, err = run_cli(capsys, "weyl", "--problem", "p1", "--n", "4", "--m-max", "300",
+                             "--rho", "1e-100")
+    assert code == 0, err
+    _, rows = parse_csv(out)
+    _, unit_rows = parse_csv(run_cli(capsys, "weyl", "--problem", "p1", "--n", "4",
+                                     "--m-max", "300", "--rho", "1")[1])
+    assert [r[1] for r in rows[:-1]] == [r[1] for r in unit_rows[:-1]]
+    # tau^3 passes 2^1024 at the top rows, the predicted count is that of rho = 1
+    assert float(rows[-2][0]) > sys.float_info.max ** (1 / 3)
+    assert math.isclose(float(rows[-2][2]), float(unit_rows[-2][2]), rel_tol=1e-12)

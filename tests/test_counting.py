@@ -196,6 +196,28 @@ def test_weyl_model_invariant():
         WeylModel(P1, 2, -2.0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(3, 40), top=st.floats(1023.0, 1023.999), integral=st.floats(1e-250, 1e-30))
+def test_predicted_count_is_the_plain_product_wherever_that_is_in_range(n, top, integral):
+    # tau^(n-1) near 2^top, just below the overflow, where a small C_lead keeps the product
+    # in range: the plain product's bits, whichever route the model takes
+    model, tau = WeylModel(P1, n, integral), 2.0 ** (top / (n - 1))
+    assert model.predicted(tau) == model.c_lead * tau ** (n - 1)
+
+
+def test_predicted_count_past_the_range_of_tau_power():
+    # tau^3 overflows, C_lead tau^3 does not: the product from the mantissas and exponents
+    model = WeylModel(P1, 4, 1e-300)
+    tau = 1e103
+    expected = model.c_lead * 1e3 ** 3 * 1e100 ** 3
+    assert model.predicted(tau) == pytest.approx(expected, rel=1e-15)
+    assert model.scaled_residual(tau, 0) == pytest.approx(-expected / tau ** 2, rel=1e-15)
+    with pytest.raises(ValueError, match="n = 4: the predicted count"):
+        WeylModel(P1, 4, 1.0).predicted(1e105)
+    with pytest.raises(ValueError, match=r"n = 100: tau\^\(n-2\) of the scaled residual"):
+        WeylModel(P1, 100, sphere_area(100)).scaled_residual(2100.0, 1)
+
+
 # ---------------------------------------------------------------------------
 # boundary quadrature
 # ---------------------------------------------------------------------------

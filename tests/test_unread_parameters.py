@@ -88,3 +88,56 @@ def test_the_check_sees_a_hand_written_range_check():
                      "        return float_info.min\n"
                      "LOW = sys.float_info.min\n")
     assert sorted(_outside_in_double_range(tree)) == [11, 12, 13]
+
+
+def _module_level_imports(tree, package):
+    """Line of each import of ``package`` that runs when the module is imported: outside
+    every function body and outside ``if TYPE_CHECKING:``."""
+    def walk(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                    and node.test.id == "TYPE_CHECKING"):
+                yield from walk(node.orelse)
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                names = []
+            if any(name.split(".")[0] == package for name in names):
+                yield node.lineno
+            yield from walk(ast.iter_child_nodes(node))
+
+    return list(walk(tree.body))
+
+
+def test_only_halfspace_imports_numpy_at_module_level():
+    # spectrum, weyl and identity-check compute without arrays; numpy costs a fresh process
+    # more than its own start-up, so every other module imports it where it builds an array
+    eager = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "halfspace.py"
+             for line in _module_level_imports(ast.parse(path.read_text()), "numpy")]
+    assert eager == []
+
+
+def test_the_check_sees_a_module_level_numpy_import():
+    tree = ast.parse("import numpy as np\n"
+                     "from numpy.linalg import norm\n"
+                     "import numpyish\n"
+                     "from typing import TYPE_CHECKING\n"
+                     "if TYPE_CHECKING:\n"
+                     "    import numpy\n"
+                     "try:\n"
+                     "    import os, numpy.random\n"
+                     "except ImportError:\n"
+                     "    pass\n"
+                     "def f():\n"
+                     "    import numpy as np\n"
+                     "class C:\n"
+                     "    import numpy\n"
+                     "    def m(self):\n"
+                     "        from numpy import eye\n")
+    assert _module_level_imports(tree, "numpy") == [1, 2, 8, 14]
