@@ -86,11 +86,8 @@ class WeylModel:
         return in_double_range(product, self._predicted_message)
 
     def scaled_residual(self, tau: float, count: int) -> float:
-        residual, k = count - self.predicted(tau), self.n - 2
-        if math.frexp(tau)[1] * k <= 1023:  # tau^(n-2) < 2^1023
-            return residual / tau ** k
-        # the predicted count may be in range where tau^(n-2) is not
-        return residual / in_double_range(lambda: tau ** k, self._residual_message)
+        return (count - self.predicted(tau)) / in_double_range(lambda: tau ** (self.n - 2),
+                                                               self._residual_message)
 
 
 @dataclass(frozen=True)
