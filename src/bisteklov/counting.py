@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from .spectra import ProblemKind, Spectrum
 from .symbols import HomogeneousSymbol, in_double_range, principal
@@ -49,6 +49,17 @@ def weyl_leading(problem: ProblemKind, n: int, boundary_integral: float) -> floa
                            f"/ base^{n - 1} leaves the double range")
 
 
+def _overflowing_power(tau: float, k: int) -> tuple[float, int] | None:
+    """tau^k as a mantissa in [0.5, 1) and a binary exponent when it overflows a double,
+    else None; tau^k = mantissa^k 2^(exponent k) for tau's own mantissa and exponent."""
+    mantissa, exponent = math.frexp(tau)
+    if exponent * k > 1024:  # else tau^k < 2^1024
+        power, power_exponent = math.frexp(mantissa ** k)
+        if power_exponent + exponent * k > 1024:
+            return power, power_exponent + exponent * k
+    return None
+
+
 @dataclass(frozen=True)
 class WeylModel:
     """Growth model for one problem kind in dimension n."""
@@ -67,27 +78,35 @@ class WeylModel:
                            f"n = {self.n}: the predicted count C_lead tau^(n-1) leaves the "
                            "double range")
         object.__setattr__(self, "_residual_message",
-                           f"n = {self.n}: tau^(n-2) of the scaled residual leaves the double range")
+                           f"n = {self.n}: the scaled residual (count - predicted) / tau^(n-2) "
+                           "leaves the double range")
 
     def predicted(self, tau: float) -> float:
         def product() -> float:
-            k = self.n - 1
-            mantissa, exponent = math.frexp(tau)
-            if exponent * k > 1024:  # tau^(n-1) = mantissa^(n-1) 2^(exponent (n-1)) may overflow
-                power, power_exponent = math.frexp(mantissa ** k)
-                if power_exponent + exponent * k > 1024:
-                    # it does, before a small C_lead scales it down: multiply the mantissas
-                    # and add the exponents, which ldexp applies exactly
-                    c_mantissa, c_exponent = math.frexp(self.c_lead)
-                    return math.ldexp(c_mantissa * power,
-                                      c_exponent + power_exponent + exponent * k)
-            return self.c_lead * tau ** k
+            power = _overflowing_power(tau, self.n - 1)
+            if power is None:
+                return self.c_lead * tau ** (self.n - 1)
+            # a small C_lead may scale it back into range: multiply the mantissas and add
+            # the exponents, which ldexp applies exactly
+            c_mantissa, c_exponent = math.frexp(self.c_lead)
+            return math.ldexp(c_mantissa * power[0], c_exponent + power[1])
 
         return in_double_range(product, self._predicted_message)
 
-    def scaled_residual(self, tau: float, count: int) -> float:
-        return (count - self.predicted(tau)) / in_double_range(lambda: tau ** (self.n - 2),
-                                                               self._residual_message)
+    def residual(self, tau: float, count: int) -> tuple[float, float]:
+        """The predicted count at tau and the scaled residual (count - predicted) / tau^(n-2)."""
+        predicted = self.predicted(tau)
+        gap = count - predicted
+        power = _overflowing_power(tau, self.n - 2)
+        if power is None:
+            return predicted, gap / in_double_range(lambda: tau ** (self.n - 2),
+                                                    self._residual_message)
+        # tau^(n-2) overflows, the quotient need not: divide the mantissas and subtract the
+        # exponents, which ldexp applies exactly unless the quotient is subnormal
+        scaled = math.ldexp(gap / power[0], -power[1])
+        if gap:  # a zero gap gives an exact zero
+            in_double_range(lambda: abs(scaled), self._residual_message)
+        return predicted, scaled
 
 
 @dataclass(frozen=True)
@@ -322,14 +341,16 @@ class RemainderReport:
     trend_slope: float
 
 
-def remainder_fit(series: CountingSeries, model: WeylModel) -> RemainderReport:
+def remainder_fit(series: CountingSeries, model: WeylModel,
+                  residuals: Sequence[tuple[float, float]] | None = None) -> RemainderReport:
     """Extract the tau^(n-2) coefficient of count - C_lead * tau^(n-1).
 
     Uses the scaled residual at the largest tau (the exact residual is
     monotone for the model problems, so no least-squares fit) and reports the
     average slope of the residual against log tau as a trend diagnostic.
     The verdict is sharp when the estimate exceeds a tenth of the leading
-    coefficient.
+    coefficient.  ``residuals``, if given, is ``model.residual`` at every sample,
+    for a caller that has them already; else the two the fit reads are computed.
     """
     samples = series.samples
     if len(samples) < 10:
@@ -340,12 +361,15 @@ def remainder_fit(series: CountingSeries, model: WeylModel) -> RemainderReport:
         raise ValueError("need positive tau samples")
     if last < 10.0 * first:
         raise ValueError("samples must span at least one decade")
-    # tau^(n-1) grows with tau, so only the largest tau can overflow
-    ratio = last_count / model.predicted(last)
+    if residuals is None:
+        residuals = (model.residual(*samples[0]), model.residual(last, last_count))
+    elif len(residuals) != len(samples):
+        raise ValueError("need one residual per sample")
+    (_, start), (predicted, estimate) = residuals[0], residuals[-1]
+    ratio = last_count / predicted
     if not 0.2 < ratio < 5.0:
         raise ValueError("series growth inconsistent with the model dimension")
 
-    start, estimate = model.scaled_residual(*samples[0]), model.scaled_residual(last, last_count)
     trend = (estimate - start) / (math.log(last) - math.log(first))
     return RemainderReport(estimate, abs(estimate) > 0.1 * model.c_lead, trend)
 

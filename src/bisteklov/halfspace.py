@@ -6,10 +6,18 @@ finite-difference two-point problem at the few nodes the symbol readouts need
 (the closed-form discrete Green's function of a tridiagonal Toeplitz matrix,
 Hu & O'Connell 1996), and the explicit sphere-integral kernels evaluated by
 quadrature.  Tests play the routes against one another.
+
+The tables of the kernel and Fourier routes that depend on no input data are
+built once, in bounded caches, and kept read-only: the sphere rule with the
+block's direction norms (16 entries of 24 quad_points bytes), the chirp table
+and Bluestein kernel FFT (8 entries of under 48 (samples + nodes) bytes) and the
+half-spectrum nodes and weights (8 entries of about 8 (eta_points + 128) bytes).
+A cached table gives the same bits as a fresh one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -197,6 +205,29 @@ def bvp_solve_p2(A: MetricBlock, datum: FourierDatum, grid: HalfSpaceGrid) -> fl
 # explicit kernels
 # ---------------------------------------------------------------------------
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=16)
+def _sphere_rule(A: MetricBlock, quad_points: int | None) -> tuple[np.ndarray, float, np.ndarray]:
+    """The sphere rule of ``_kernel_values`` (directions and weight) and the block's
+    direction norms q = sqrt(dirs . a_tan . dirs / a_nn), built once per block and rule
+    (``quad_points`` None for n = 2), read-only.  Blocks are keyed by identity, which is
+    sound because a block and its metric are immutable.  At most 16 entries, each holding
+    its block and 24 quad_points bytes (6 KB at the default 256 directions)."""
+    if A.dim == 2:
+        dirs, weight = np.array([[1.0], [-1.0]]), 1.0
+    else:
+        thetas = 2.0 * math.pi * np.arange(quad_points) / quad_points
+        dirs, weight = np.column_stack([np.cos(thetas), np.sin(thetas)]), 2.0 * math.pi / quad_points
+    q = np.sqrt(np.sum((dirs @ A.a_tan.matrix) * dirs, axis=1) / A.a_nn)
+    _read_only(dirs, q)
+    return dirs, weight, q
+
+
 def _kernel_values(A: MetricBlock, which: str, x: np.ndarray, x_n: np.ndarray,
                    quad_points: int | None = None) -> np.ndarray:
     """K1 or K2 at boundary offsets ``x`` (shape S + (n-1,)) and heights ``x_n``
@@ -206,14 +237,9 @@ def _kernel_values(A: MetricBlock, which: str, x: np.ndarray, x_n: np.ndarray,
     above 1e-10."""
     n = A.dim
     x_n = np.asarray(x_n, dtype=float)
-    if not np.all(x_n > 0):
+    if not (x_n > 0).all():
         raise ValueError("kernels are singular at the boundary: need x_n > 0")
-    if n == 2:
-        dirs, weight = np.array([[1.0], [-1.0]]), 1.0
-    else:
-        thetas = 2.0 * math.pi * np.arange(quad_points) / quad_points
-        dirs, weight = np.column_stack([np.cos(thetas), np.sin(thetas)]), 2.0 * math.pi / quad_points
-    q = np.sqrt(np.sum((dirs @ A.a_tan.matrix) * dirs, axis=1) / A.a_nn)
+    dirs, weight, q = _sphere_rule(A, quad_points if n == 3 else None)
     xq = x_n[..., None] * q
     r = 1.0 / (x @ dirs.T + 1j * xq)
     if which == "K2":
@@ -222,9 +248,9 @@ def _kernel_values(A: MetricBlock, which: str, x: np.ndarray, x_n: np.ndarray,
         integrand = r ** (n - 1) * (1.0 + (n - 1) * 1j * xq * r)
     prefactor = (-1.0) ** (n - 1) * math.factorial(n - 2) / (2.0j * math.pi) ** (n - 1)
     value = prefactor * weight * integrand.sum(axis=-1)
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise SolverError("kernel integral is not finite")
-    worst = np.max(np.abs(value.imag), initial=0.0)
+    worst = np.abs(value.imag).max(initial=0.0)
     if worst > 1e-10:
         raise SolverError(f"kernel integral has imaginary part {worst:.3e}")
     return value.real
@@ -329,6 +355,22 @@ def _chirp(alpha: float, m: np.ndarray) -> np.ndarray:
     return np.exp(-2j * math.pi * ((turns - np.round(turns)) + err))
 
 
+@functools.lru_cache(maxsize=8)
+def _bluestein(samples: int, count: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The chirp table of ``_chirp_z`` and the FFT of its Bluestein kernel, built once per
+    (samples, count, alpha) and read-only.  At most 8 entries of under
+    48 (samples + count) bytes each (110 KB for 256 samples and 4 160 nodes)."""
+    jc, kc = (samples - 1) // 2, (count - 1) // 2
+    lags = np.arange(1 - samples, count)
+    # every |k|, |j| and |k - j| of _chirp_z is some |lag - kc + jc|
+    chirp = _chirp(alpha, np.arange(max(samples - 1 + kc - jc, count - 1 - kc + jc) + 1))
+    # the least m 2^e >= samples + count - 1 for m in 1, 3, 5, 9, 15: a fast FFT length
+    size = min(m << ((samples + count - 2) // m).bit_length() for m in (1, 3, 5, 9, 15))
+    kernel = np.zeros(size, dtype=complex)
+    kernel[lags] = chirp[np.abs(lags - kc + jc)].conj()  # negative lags wrap around
+    return _read_only(chirp, np.fft.fft(kernel))
+
+
 def _chirp_z(data: np.ndarray, y: np.ndarray, etas: np.ndarray) -> np.ndarray:
     """sum_j data[..., j] exp(-i etas[k] y[j]) for uniform grids ``y`` and
     ``etas``, by Bluestein's chirp-z transform: one FFT convolution along the
@@ -340,17 +382,26 @@ def _chirp_z(data: np.ndarray, y: np.ndarray, etas: np.ndarray) -> np.ndarray:
     dy = (y[-1] - y[0]) / (samples - 1)
     alpha = (etas[-1] - etas[0]) / max(count - 1, 1) * dy
     j, k = np.arange(samples) - jc, np.arange(count) - kc
-    lags = np.arange(1 - samples, count)
-    # etas[k] y[j] = etas[k] y[jc] + etas[kc] j dy + alpha k j,  2 k j = k^2 + j^2 - (k - j)^2;
-    # every |k|, |j| and |k - j| is some |lag - kc + jc|
-    chirp = _chirp(alpha, np.arange(max(samples - 1 + kc - jc, count - 1 - kc + jc) + 1))
+    # etas[k] y[j] = etas[k] y[jc] + etas[kc] j dy + alpha k j,  2 k j = k^2 + j^2 - (k - j)^2
+    chirp, kernel_fft = _bluestein(samples, count, alpha)
     pre = data * (chirp[np.abs(j)] * np.exp(-1j * etas[kc] * dy * j))
-    # the least m 2^e >= samples + count - 1 for m in 1, 3, 5, 9, 15: a fast FFT length
-    size = min(m << ((samples + count - 2) // m).bit_length() for m in (1, 3, 5, 9, 15))
-    kernel = np.zeros(size, dtype=complex)
-    kernel[lags] = chirp[np.abs(lags - kc + jc)].conj()  # negative lags wrap around
-    conv = np.fft.ifft(np.fft.fft(pre, size) * np.fft.fft(kernel), axis=-1)[..., :count]
+    conv = np.fft.ifft(np.fft.fft(pre, kernel_fft.size) * kernel_fft, axis=-1)[..., :count]
     return conv * (chirp[np.abs(k)] * np.exp(-1j * etas * y[jc]))
+
+
+@functools.lru_cache(maxsize=8)
+def _half_spectrum(eta_points: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """The step deta of the ``eta_points``-node grid on [-40, 40], its nodes
+    eta_k = (k + off) deta >= 0 padded to whole rows of 64 nodes, and the full grid's
+    trapezoid weights folded over: 2 deta, deta at eta = 0 and at the end, 0 on the
+    padding.  Built once per node count and read-only: at most 8 entries of about
+    8 (eta_points + 128) bytes each (66 KB at the default 8 193 nodes)."""
+    deta = 80.0 / (eta_points - 1)
+    count = (eta_points + 1) // 2
+    k = np.arange(-(-count // 64) * 64)
+    etas = (k + 0.5 * (1 - eta_points % 2)) * deta
+    w = deta * ((k < count).astype(float) + (k < count - 1) - (etas == 0))
+    return (deta, *_read_only(etas, w))
 
 
 def fourier_synthesis(A: MetricBlock, y, phi, h, points, eta_points: int = 8193) -> np.ndarray:
@@ -376,16 +427,10 @@ def fourier_synthesis(A: MetricBlock, y, phi, h, points, eta_points: int = 8193)
     eta_points = operator.index(eta_points)  # a TypeError for a float count
     if eta_points < 2:
         raise ValueError("need eta_points >= 2")
-    deta = 80.0 / (eta_points - 1)
+    deta, etas, w = _half_spectrum(eta_points)
     if np.any(np.abs(pts[:, 0] - 0.5 * (y[0] + y[-1])) >= math.pi / deta):
         raise ValueError(f"aliasing: need |x' - window middle| < pi / deta = {math.pi / deta:.6g}")
 
-    # eta_k = (k + off) deta >= 0, padded to whole rows of 64 nodes; the full grid's
-    # trapezoid weights folded over: 2 deta, deta at eta = 0 and at the end, 0 on the padding
-    count = (eta_points + 1) // 2
-    k = np.arange(-(-count // 64) * 64)
-    etas = (k + 0.5 * (1 - eta_points % 2)) * deta
-    w = deta * ((k < count).astype(float) + (k < count - 1) - (etas == 0))
     phi_hat, h_hat = (dy * _chirp_z(d, y, etas) if d.any() else 0.0 for d in (phi, h))
     r = xi_norm(A, [1.0])
     ab = np.stack([w * phi_hat, w * (h_hat / math.sqrt(A.a_nn) + r * etas * phi_hat)], axis=1)

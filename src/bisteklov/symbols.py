@@ -23,11 +23,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def _check_spd(matrix, what: str) -> np.ndarray:
-    """``matrix`` as a float array, checked square, symmetric (to 1e-12) and
-    positive definite; ``what`` names it in the error."""
+    """A private, read-only float copy of ``matrix``, checked square, symmetric (to 1e-12)
+    and positive definite; ``what`` names it in the error."""
     import numpy as np
 
-    a = np.asarray(matrix, dtype=float)
+    a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{what} must be square")
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
@@ -36,12 +36,14 @@ def _check_spd(matrix, what: str) -> np.ndarray:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         raise ValueError(f"{what} must be positive definite") from None
+    a.flags.writeable = False
     return a
 
 
 @dataclass(frozen=True, eq=False)
 class BoundaryMetric:
-    """Constant inverse boundary metric g^{jk}, checked SPD when built."""
+    """Constant inverse boundary metric g^{jk}, checked SPD when built; it keeps a
+    read-only copy, so a later write to the caller's array cannot undo the check."""
 
     matrix: np.ndarray
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bisteklov
-from bisteklov import ProblemKind, cli, halfspace, symbols
+from bisteklov import ProblemKind, cli, counting, halfspace, symbols
 from bisteklov.counting import sphere_area, weyl_leading
 from bisteklov.cli import WeightExpr, main
 
@@ -171,6 +171,28 @@ def test_weyl_needs_enough_samples(capsys):
     assert code == 2
 
 
+def test_weyl_predicts_each_row_once(capsys, monkeypatch):
+    calls = []
+    predicted = counting.WeylModel.predicted
+    monkeypatch.setattr(counting.WeylModel, "predicted",
+                        lambda self, tau: calls.append(tau) or predicted(self, tau))
+    code, out, _ = run_cli(capsys, "weyl", "--problem", "p2", "--m-max", "2000")
+    assert code == 0
+    _, rows = parse_csv(out)
+    taus = [float(r[0]) for r in rows[:-1] if float(r[0]) > 0]
+    assert calls == taus and len(taus) == 2000
+
+
+def test_weyl_residual_past_the_range_of_tau_power_exits_0(capsys):
+    # tau^(n-2) = 2100^98 overflows a double, the predicted counts and residuals do not
+    code, out, _ = run_cli(capsys, *"weyl --problem p1 --n 100 --m-max 1000".split())
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[-2][0] == "2100" and rows[-1][1] == rows[-2][3]
+    residuals = [float(r[3]) for r in rows[:-1]]
+    assert all(-1e-180 < r <= -sys.float_info.min for r in residuals)
+
+
 # ---------------------------------------------------------------------------
 # halfspace
 # ---------------------------------------------------------------------------
@@ -195,6 +217,74 @@ def test_halfspace_kernel_mode(capsys):
     assert code == 0
     _, rows = parse_csv(out)
     assert float(rows[-1][1]) < 1e-4
+
+
+# float.hex of the kernel and fourier columns of `halfspace --mode kernel --samples 128`;
+# the tables the two routes build once must not change a bit of them
+_KERNEL_HEX = """
+1.4964945544dcdp-9 1.540abf650a997p-9 1.5f37649724053p-9 1.6af383c6f1e22p-9 1.7748e0f6fe5aap-9
+1.844218b855c8ep-9 1.91eab7176e83bp-9 1.a04f516b83d86p-9 1.af7da3749b237p-9 1.bf84b04699c84p-9
+1.d074e79579037p-9 1.e26050107ee7dp-9 1.f55ab7995c6dep-9 1.04bcf524a5751p-8 1.0f6af8b1957bap-8
+1.1ac4adc40199fp-8 1.26d8c7e2a5bafp-8 1.33b796b282cd7p-8 1.41733d652bf60p-8 1.501ff30f624ffp-8
+1.5fd44d950c28bp-8 1.70a99934aa883p-8 1.82bc3f3087b23p-8 1.962c3ea55dd6dp-8 1.ab1dbb55912d2p-8
+1.c1b9a71869dacp-8 1.da2e8bc4c5a4dp-8 1.f4b17cea43d21p-8 1.08bf9d4acd510p-7 1.186ec86c60e38p-7
+1.298e8187b480bp-7 1.3c4d6b100cdc5p-7 1.50e1c954b6ccdp-7 1.678b0fd32bdffp-7 1.8093d02cc663fp-7
+1.9c54272663917p-7 1.bb34cdb56f5bap-7 1.ddb30175b95d5p-7 1.0232c54bcb34fp-6 1.18019fe864e05p-6
+1.30b5c75b4dd07p-6 1.4cd8e2c32cf92p-6 1.6d161562b97d6p-6 1.92443180c4791p-6 1.bd73a6dd36e71p-6
+1.f001ba7092b65p-6 1.15d99e7e64d8bp-5 1.396ce5d525bcbp-5 1.6443c15fb0899p-5 1.986ab1aa90466p-5
+1.d89f8f5ed5454p-5 1.14442b385f9a8p-4 1.46749972797cdp-4 1.85e0865139fb2p-4 1.d60e754089cb3p-4
+1.1d568aeb01f70p-3 1.5b62073d2d8e9p-3 1.a5b022d12700ap-3 1.faef9ed1b0ab3p-3 1.2b950a6a796a5p-2
+1.59b482ce356d3p-2 1.831bb6f6ab9dcp-2 1.a29775aa5d5abp-2 1.b3a5db5e4c8efp-2 1.b3a5db5e4c8f0p-2
+1.a29775aa5d5afp-2 1.831bb6f6ab9e0p-2 1.59b482ce356d5p-2 1.2b950a6a796a5p-2 1.faef9ed1b0ab5p-3
+1.a5b022d127015p-3 1.5b62073d2d8f3p-3 1.1d568aeb01f76p-3 1.d60e754089caap-4 1.85e0865139fb6p-4
+1.46749972797cep-4 1.14442b385f9aap-4 1.d89f8f5ed5453p-5 1.986ab1aa9046dp-5 1.6443c15fb089ep-5
+1.396ce5d525bd2p-5 1.15d99e7e64d91p-5 1.f001ba7092b61p-6 1.bd73a6dd36e72p-6 1.92443180c4791p-6
+1.6d161562b97d6p-6 1.4cd8e2c32cf8ep-6 1.30b5c75b4dd0bp-6 1.18019fe864e09p-6 1.0232c54bcb351p-6
+1.ddb30175b95d1p-7 1.bb34cdb56f5b9p-7 1.9c54272663918p-7 1.8093d02cc663fp-7 1.678b0fd32bdfep-7
+1.50e1c954b6ccfp-7 1.3c4d6b100cdc4p-7 1.298e8187b480cp-7 1.186ec86c60e39p-7 1.08bf9d4acd511p-7
+1.f4b17cea43d21p-8 1.da2e8bc4c5a4dp-8 1.c1b9a71869dadp-8 1.ab1dbb55912d4p-8 1.962c3ea55dd6ep-8
+1.82bc3f3087b24p-8 1.70a99934aa883p-8 1.5fd44d950c28cp-8 1.501ff30f624fap-8 1.41733d652bf5fp-8
+1.33b796b282cd6p-8 1.26d8c7e2a5bb2p-8 1.1ac4adc40199fp-8 1.0f6af8b1957bbp-8 1.04bcf524a5752p-8
+1.f55ab7995c6dep-9 1.e26050107ee80p-9 1.d074e79579039p-9 1.bf84b04699c87p-9 1.af7da3749b23ap-9
+1.a04f516b83d85p-9 1.91eab7176e83fp-9 1.844218b855c92p-9 1.7748e0f6fe5afp-9 1.6af383c6f1e23p-9
+1.5f37649724052p-9 1.540abf650a991p-9 1.4964945544dd0p-9
+""".split()
+_FOURIER_HEX = """
+1.49fb311053a43p-9 1.54a15ad4fbd73p-9 1.5fcdfec13d9edp-9 1.6b8a1cb07989ep-9 1.77df78a539830p-9
+1.84d8af3089b95p-9 1.92814c5ee04a9p-9 1.a0e5e58778575p-9 1.b014366a57029p-9 1.c01b421b6181fp-9
+1.d10b784e90dfdp-9 1.e2f6dfb32b0cap-9 1.f5f1462ae0c12p-9 1.05083be77594dp-8 1.0fb63ef11560cp-8
+1.1b0ff382d2f31p-8 1.27240d236a258p-8 1.3402db77dbd5fp-8 1.41be81b1bb126p-8 1.506b36e5c8e30p-8
+1.601f90f7eb7ccp-8 1.70f4dc26a3d63p-8 1.830781b43c1ebp-8 1.967780bd6e7cbp-8 1.ab68fd049f108p-8
+1.c204e86115e77p-8 1.da79cca9b0be6p-8 1.f4fcbd6e0eca2p-8 1.08e53d5d731a1p-7 1.1894685117546p-7
+1.29b4213fcbe87p-7 1.3c730a9cd5843p-7 1.510768b780f68p-7 1.67b0af0d47c6bp-7 1.80b96f3f843b9p-7
+1.9c79c6131387cp-7 1.bb5a6c7d61987p-7 1.ddd8a01a3dff6p-7 1.0245948cfec79p-6 1.18146f1931beap-6
+1.30c8967c5c02cp-6 1.4cebb1d524852p-6 1.6d28e46642657p-6 1.9257007686be3p-6 1.bd8675c5da879p-6
+1.f014894cbfae2p-6 1.15e305e693fd8p-5 1.39764d37c1868p-5 1.644d28bd0cf2bp-5 1.9874190301496p-5
+1.d8a8f6b2aedbbp-5 1.1448dee02aac0p-4 1.46794d184cd03p-4 1.85e539f53f8c5p-4 1.d61328e2eb956p-4
+1.1d58e4bb75f60p-3 1.5b64610cf9a4fp-3 1.a5b27ca0602bep-3 1.faf1f8a06be82p-3 1.2b963751a2901p-2
+1.59b5afb534993p-2 1.831ce3dd8b4e1p-2 1.a298a291280e3p-2 1.b3a708450cc3fp-2 1.b3a708450cc41p-2
+1.a298a291280e7p-2 1.831ce3dd8b4e9p-2 1.59b5afb53499bp-2 1.2b963751a2905p-2 1.faf1f8a06be8bp-3
+1.a5b27ca0602cep-3 1.5b64610cf9a64p-3 1.1d58e4bb75f6dp-3 1.d61328e2eb95bp-4 1.85e539f53f8d8p-4
+1.46794d184cd0fp-4 1.1448dee02aac7p-4 1.d8a8f6b2aedd8p-5 1.98741903014b4p-5 1.644d28bd0cf44p-5
+1.39764d37c1874p-5 1.15e305e693fe8p-5 1.f014894cbfaecp-6 1.bd8675c5da891p-6 1.9257007686bfep-6
+1.6d28e46642676p-6 1.4cebb1d52486dp-6 1.30c8967c5c03dp-6 1.18146f1931c02p-6 1.0245948cfec8cp-6
+1.ddd8a01a3e00ep-7 1.bb5a6c7d61985p-7 1.9c79c61313891p-7 1.80b96f3f843d6p-7 1.67b0af0d47c93p-7
+1.510768b780f6dp-7 1.3c730a9cd584ep-7 1.29b4213fcbe9ep-7 1.1894685117564p-7 1.08e53d5d731cep-7
+1.f4fcbd6e0ececp-8 1.da79cca9b0c19p-8 1.c204e86115e81p-8 1.ab68fd049f11ap-8 1.967780bd6e7fbp-8
+1.830781b43c240p-8 1.70f4dc26a3d63p-8 1.601f90f7eb7a4p-8 1.506b36e5c8e5cp-8 1.41be81b1bb16dp-8
+1.3402db77dbd8ap-8 1.27240d236a295p-8 1.1b0ff382d2f42p-8 1.0fb63ef11560fp-8 1.05083be775960p-8
+1.f5f1462ae0c38p-9 1.e2f6dfb32b0ecp-9 1.d10b784e90e52p-9 1.c01b421b6184dp-9 1.b014366a5703fp-9
+1.a0e5e58778582p-9 1.92814c5ee04a8p-9 1.84d8af3089b99p-9 1.77df78a53986ep-9 1.6b8a1cb0798bap-9
+1.5fcdfec13da0dp-9 1.54a15ad4fbd9cp-9 1.49fb311053a45p-9
+""".split()
+
+
+def test_kernel_mode_columns_are_bit_exact(capsys):
+    code, out, _ = run_cli(capsys, "halfspace", "--mode", "kernel", "--samples", "128")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [float(r[1]).hex() for r in rows[:-1]] == ["0x" + h for h in _KERNEL_HEX]
+    assert [float(r[2]).hex() for r in rows[:-1]] == ["0x" + h for h in _FOURIER_HEX]
 
 
 def test_halfspace_seeded_block_deterministic(capsys):
@@ -285,8 +375,6 @@ def test_kernel_mode_window_just_inside_the_alias_bound(capsys):
     # 1 / (2^(n-2) (n-1)!) is subnormal from n = 152 on, and the check runs n = 2, 3, ...
     ("identity-check --n 172", "n = 152 is too large: 1 / (2^(n-2) (n-1)!)"),
     ("weyl --problem p1 --n 300 --m-max 30", "n = 300 is too large: base^(n-1)"),
-    # the predicted count is in range there, but tau^(n-2) = 2100^98 is not
-    ("weyl --problem p1 --n 100 --m-max 1000", "n = 100: tau^(n-2) of the scaled residual"),
     ("symbol --n 282 --points 1", "n = 282 is too large: base^(n-1)"),
     ("symbol --problem p2 --n 343 --points 1", "dimension 342 is too large: Gamma(342/2 + 1)"),
 ])

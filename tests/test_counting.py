@@ -211,11 +211,25 @@ def test_predicted_count_past_the_range_of_tau_power():
     tau = 1e103
     expected = model.c_lead * 1e3 ** 3 * 1e100 ** 3
     assert model.predicted(tau) == pytest.approx(expected, rel=1e-15)
-    assert model.scaled_residual(tau, 0) == pytest.approx(-expected / tau ** 2, rel=1e-15)
+    assert model.residual(tau, 0) == (model.predicted(tau), pytest.approx(-expected / tau ** 2,
+                                                                          rel=1e-15))
     with pytest.raises(ValueError, match="n = 4: the predicted count"):
         WeylModel(P1, 4, 1.0).predicted(1e105)
-    with pytest.raises(ValueError, match=r"n = 100: tau\^\(n-2\) of the scaled residual"):
-        WeylModel(P1, 100, sphere_area(100)).scaled_residual(2100.0, 1)
+
+
+def test_scaled_residual_past_the_range_of_tau_power():
+    # tau^(n-2) = 2100^98 overflows, the residual does not: the quotient to a few roundings
+    model = WeylModel(P1, 100, sphere_area(100))
+    predicted, scaled = model.residual(2100.0, 1)
+    assert predicted == model.predicted(2100.0)
+    assert scaled == pytest.approx(float((1 - Fraction(predicted)) / 2100 ** 98), rel=1e-15)
+    # a residual below the normal range keeps a few digits only: refused, but a zero gap is exact
+    model = WeylModel(P1, 100, 2.1e-160)
+    tau = 2.0 ** (1025 / 98)  # tau^98 just past 2^1024
+    predicted = model.predicted(tau)
+    with pytest.raises(ValueError, match=r"n = 100: the scaled residual \(count - predicted\)"):
+        model.residual(tau, math.floor(predicted))
+    assert model.residual(tau, predicted) == (predicted, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +395,7 @@ def test_remainder_fit_residuals_are_the_scaled_gaps(n):
     model = WeylModel(P1, n, sphere_area(n))
     series = ball_series(n, 300)
     for t, c in series.samples:
-        assert model.scaled_residual(t, c) == (c - model.predicted(t)) / t ** (n - 2)
+        assert model.residual(t, c) == (model.predicted(t), (c - model.predicted(t)) / t ** (n - 2))
 
 
 def _spectrum_series(spectrum):
@@ -397,10 +411,15 @@ def test_remainder_fit_estimates_are_the_endpoints_of_the_residual_series(proble
     series, model = _spectrum_series(spectrum), WeylModel(problem, n, sphere_area(n))
     report = remainder_fit(series, model)
     (first, first_count), (last, last_count) = series.samples[0], series.samples[-1]
-    start, end = model.scaled_residual(first, first_count), model.scaled_residual(last, last_count)
+    (_, start), (_, end) = model.residual(first, first_count), model.residual(last, last_count)
     assert report.second_coeff_estimate.hex() == end.hex()
     trend = (end - start) / (math.log(last) - math.log(first))
     assert report.trend_slope.hex() == trend.hex()
+    # the same report from the residuals of every sample, as the weyl command passes them
+    residuals = [model.residual(t, c) for t, c in series.samples]
+    assert remainder_fit(series, model, residuals) == report
+    with pytest.raises(ValueError, match="one residual per sample"):
+        remainder_fit(series, model, residuals[1:])
 
 
 def test_remainder_fit_validation():

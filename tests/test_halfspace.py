@@ -21,7 +21,7 @@ from bisteklov import (
     solve_by_kernel,
     xi_norm,
 )
-from bisteklov.halfspace import _chirp_z, _solve_ode
+from bisteklov.halfspace import _bluestein, _chirp_z, _half_spectrum, _solve_ode, _sphere_rule
 
 
 def random_block(seed):
@@ -60,6 +60,17 @@ def test_metric_block_validation():
         MetricBlock(np.eye(1), 0.0)
     with pytest.raises(ValueError):
         MetricBlock(np.array([[1.0, 0.1], [0.2, 1.0]]), 1.0)
+
+
+def test_metric_block_keeps_a_private_read_only_metric():
+    m = np.array([[2.0, 0.5], [0.5, 1.0]])
+    block = MetricBlock(m, 1.0)
+    before = kernel_K(block, "K1", [0.3, -0.2], 0.7)
+    m[0, 0] = -5.0  # would make the checked metric indefinite
+    assert block.a_tan.matrix[0, 0] == 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        block.a_tan.matrix[0, 0] = -5.0
+    assert kernel_K(block, "K1", [0.3, -0.2], 0.7) == before
 
 
 # ---------------------------------------------------------------------------
@@ -662,3 +673,66 @@ def test_boundary_solves_refuse_degenerate_grids(route, grid):
     data = np.exp(-(grid**2))
     with pytest.raises(ValueError, match="uniform and increasing"):
         route(MetricBlock.identity(2), grid, None, data, [(0.0, 1.0)])
+
+
+# ---------------------------------------------------------------------------
+# the fixed tables of the kernel and Fourier routes, built once
+# ---------------------------------------------------------------------------
+
+_TABLES = {_sphere_rule: 16, _bluestein: 8, _half_spectrum: 8}  # the documented maxsize
+
+
+def _cold(route):
+    for table in _TABLES:
+        table.cache_clear()
+    return np.asarray(route()).tobytes()
+
+
+_Y = np.linspace(-15.0, 15.0, 128)
+_DATA = np.exp(-(_Y**2))
+_PTS = [(0.4, 0.8), (-1.0, 1.5), (2.0, 0.3)]
+# blocks key the sphere rule by identity, so each route keeps its block
+_A2, _A3 = MetricBlock(np.array([[1.7]]), 1.3), MetricBlock(np.array([[2.0, 0.5], [0.5, 1.0]]), 1.3)
+
+
+@pytest.mark.parametrize("route", [
+    lambda: kernel_K(_A2, "K1", [0.3], 0.7),
+    lambda: kernel_K(_A3, "K2", [0.3, -0.2], 0.7),
+    lambda: solve_by_kernel(_A2, _Y, _DATA, _DATA, _PTS),
+    lambda: fourier_synthesis(_A2, _Y, _DATA, _DATA, _PTS),
+], ids=["kernel_K n=2", "kernel_K n=3", "solve_by_kernel", "fourier_synthesis"])
+def test_warm_tables_give_the_cold_values(route):
+    cold = _cold(route)
+    hits = sum(table.cache_info().hits for table in _TABLES)
+    assert np.asarray(route()).tobytes() == cold
+    assert sum(table.cache_info().hits for table in _TABLES) > hits  # the second call was warm
+
+
+def test_tables_of_different_blocks_and_grids_stay_apart():
+    blocks = [MetricBlock(np.array([[1.7]]), 1.3), MetricBlock(np.array([[0.6]]), 2.2)]
+    blocks3 = [MetricBlock(np.eye(2), 1.0), MetricBlock(np.array([[2.0, 0.5], [0.5, 1.0]]), 0.8)]
+    grids = [(_Y, 8193), (np.linspace(-12.0, 12.0, 96), 2049)]
+
+    def routes(i, j):
+        (A, A3), (y, eta_points) = (blocks[i], blocks3[i]), grids[j]
+        data = np.exp(-(y**2))
+        return [lambda: solve_by_kernel(A, y, data, None, _PTS),
+                lambda: fourier_synthesis(A, y, None, data, _PTS, eta_points),
+                lambda: kernel_K(A3, "K1", [0.3, -0.2], 0.7, quad_points=64 * (j + 1))]
+
+    cases = [(0, 0), (1, 1), (0, 1), (1, 0)]
+    cold = [[_cold(route) for route in routes(*case)] for case in cases]
+    for _ in range(2):  # alternately, with every table warm from the first round on
+        assert [[np.asarray(route()).tobytes() for route in routes(*case)]
+                for case in cases] == cold
+
+
+def test_tables_are_read_only_with_the_documented_bound():
+    A3 = MetricBlock(np.eye(2), 1.0)
+    tables = [*_sphere_rule(A3, 256), *_sphere_rule(MetricBlock.identity(2), None),
+              *_bluestein(128, 4160, 0.001), *_half_spectrum(8193)]
+    arrays = [t for t in tables if isinstance(t, np.ndarray)]
+    assert len(arrays) == 8 and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        arrays[0][0] = 0.0
+    assert {table: table.cache_info().maxsize for table in _TABLES} == _TABLES
