@@ -329,14 +329,11 @@ def cmd_weyl(cfg: argparse.Namespace) -> None:
         f"weight {c:.6g} out of range: rho^(n-1) |S^(n-1)| leaves the double range")
     model = counting.WeylModel(cfg.problem, cfg.n, integral)
     samples = tuple((tau, count) for tau, count in zip(spec.values, spec.cumulative) if tau > 0)
-    series = counting.CountingSeries(samples)
-    residuals = [model.residual(tau, count) for tau, count in samples]
-    report = counting.remainder_fit(series, model, residuals)
+    report = counting.remainder_fit(counting.CountingSeries(samples), model)
     # only the first eigenvalue can be zero; its row has no scaled residual
     rows = [[0.0, count, 0.0, float(count)]
             for count in spec.cumulative[:len(spec.values) - len(samples)]]
-    rows += [[tau, count, predicted, scaled]
-             for (tau, count), (predicted, scaled) in zip(samples, residuals)]
+    rows += [[tau, count, *model.residual(tau, count)] for tau, count in samples]
     rows.append(["summary", report.second_coeff_estimate, report.trend_slope,
                  report.sharp_verdict])
     _emit(["tau", "count", "predicted", "residual_scaled"], rows, cfg.out)

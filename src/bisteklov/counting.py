@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .spectra import ProblemKind, Spectrum
 from .symbols import HomogeneousSymbol, in_double_range, principal
@@ -341,16 +341,14 @@ class RemainderReport:
     trend_slope: float
 
 
-def remainder_fit(series: CountingSeries, model: WeylModel,
-                  residuals: Sequence[tuple[float, float]] | None = None) -> RemainderReport:
+def remainder_fit(series: CountingSeries, model: WeylModel) -> RemainderReport:
     """Extract the tau^(n-2) coefficient of count - C_lead * tau^(n-1).
 
     Uses the scaled residual at the largest tau (the exact residual is
     monotone for the model problems, so no least-squares fit) and reports the
     average slope of the residual against log tau as a trend diagnostic.
     The verdict is sharp when the estimate exceeds a tenth of the leading
-    coefficient.  ``residuals``, if given, is ``model.residual`` at every sample,
-    for a caller that has them already; else the two the fit reads are computed.
+    coefficient.
     """
     samples = series.samples
     if len(samples) < 10:
@@ -361,15 +359,12 @@ def remainder_fit(series: CountingSeries, model: WeylModel,
         raise ValueError("need positive tau samples")
     if last < 10.0 * first:
         raise ValueError("samples must span at least one decade")
-    if residuals is None:
-        residuals = (model.residual(*samples[0]), model.residual(last, last_count))
-    elif len(residuals) != len(samples):
-        raise ValueError("need one residual per sample")
-    (_, start), (predicted, estimate) = residuals[0], residuals[-1]
-    ratio = last_count / predicted
+    # tau^(n-1) grows with tau, so only the largest tau can overflow
+    ratio = last_count / model.predicted(last)
     if not 0.2 < ratio < 5.0:
         raise ValueError("series growth inconsistent with the model dimension")
 
+    (_, start), (_, estimate) = model.residual(*samples[0]), model.residual(last, last_count)
     trend = (estimate - start) / (math.log(last) - math.log(first))
     return RemainderReport(estimate, abs(estimate) > 0.1 * model.c_lead, trend)
 

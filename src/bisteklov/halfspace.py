@@ -8,11 +8,14 @@ Hu & O'Connell 1996), and the explicit sphere-integral kernels evaluated by
 quadrature.  Tests play the routes against one another.
 
 The tables of the kernel and Fourier routes that depend on no input data are
-built once, in bounded caches, and kept read-only: the sphere rule with the
-block's direction norms (16 entries of 24 quad_points bytes), the chirp table
-and Bluestein kernel FFT (8 entries of under 48 (samples + nodes) bytes) and the
-half-spectrum nodes and weights (8 entries of about 8 (eta_points + 128) bytes).
-A cached table gives the same bits as a fresh one.
+built once and kept read-only, in caches of a fixed number of entries that take
+only tables up to a fixed size (larger ones are built per call): the sphere rule
+with the block's direction norms (16 entries of 24 quad_points bytes, up to
+4 096 directions), the chirp table and Bluestein kernel FFT (8 entries of under
+48 (samples + nodes) bytes, up to samples + nodes = 16 384) and the half-spectrum
+nodes and weights (8 entries of about 8 (eta_points + 128) bytes, up to 16 385
+nodes): about 9 MB in all at most.  A cached table gives the same bits as a
+fresh one.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -211,13 +215,30 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-@functools.lru_cache(maxsize=16)
+def _table_cache(maxsize: int, small: Callable[..., bool]):
+    """An lru_cache of ``maxsize`` entries for a table builder, consulted only for the
+    keys that ``small`` accepts; a larger table is built per call and freed with it, so
+    each cache's memory has a fixed bound whatever grids the callers pass."""
+    def decorate(build):
+        cached = functools.lru_cache(maxsize=maxsize)(build)
+
+        @functools.wraps(build)
+        def table(*key):
+            return (cached if small(*key) else build)(*key)
+
+        table.cache_info, table.cache_clear = cached.cache_info, cached.cache_clear
+        return table
+    return decorate
+
+
+@_table_cache(16, lambda A, quad_points: quad_points is None or quad_points <= 4096)
 def _sphere_rule(A: MetricBlock, quad_points: int | None) -> tuple[np.ndarray, float, np.ndarray]:
     """The sphere rule of ``_kernel_values`` (directions and weight) and the block's
-    direction norms q = sqrt(dirs . a_tan . dirs / a_nn), built once per block and rule
-    (``quad_points`` None for n = 2), read-only.  Blocks are keyed by identity, which is
-    sound because a block and its metric are immutable.  At most 16 entries, each holding
-    its block and 24 quad_points bytes (6 KB at the default 256 directions)."""
+    direction norms q = sqrt(dirs . a_tan . dirs / a_nn), read-only, built once per block
+    and rule (``quad_points`` None for n = 2) up to 4 096 directions.  Blocks are keyed by
+    identity, which is sound because a block and its metric are immutable.  At most 16
+    entries, each holding its block and 24 quad_points bytes: 6 KB at the default 256
+    directions, 1.6 MB in all at most."""
     if A.dim == 2:
         dirs, weight = np.array([[1.0], [-1.0]]), 1.0
     else:
@@ -355,11 +376,12 @@ def _chirp(alpha: float, m: np.ndarray) -> np.ndarray:
     return np.exp(-2j * math.pi * ((turns - np.round(turns)) + err))
 
 
-@functools.lru_cache(maxsize=8)
+@_table_cache(8, lambda samples, count, alpha: samples + count <= 16384)
 def _bluestein(samples: int, count: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """The chirp table of ``_chirp_z`` and the FFT of its Bluestein kernel, built once per
-    (samples, count, alpha) and read-only.  At most 8 entries of under
-    48 (samples + count) bytes each (110 KB for 256 samples and 4 160 nodes)."""
+    """The chirp table of ``_chirp_z`` and the FFT of its Bluestein kernel, read-only,
+    built once per (samples, count, alpha) up to samples + count = 16 384.  At most 8
+    entries of under 48 (samples + count) bytes each: 110 KB for 256 samples and 4 160
+    nodes, 6.3 MB in all at most."""
     jc, kc = (samples - 1) // 2, (count - 1) // 2
     lags = np.arange(1 - samples, count)
     # every |k|, |j| and |k - j| of _chirp_z is some |lag - kc + jc|
@@ -389,13 +411,14 @@ def _chirp_z(data: np.ndarray, y: np.ndarray, etas: np.ndarray) -> np.ndarray:
     return conv * (chirp[np.abs(k)] * np.exp(-1j * etas * y[jc]))
 
 
-@functools.lru_cache(maxsize=8)
+@_table_cache(8, lambda eta_points: eta_points <= 16385)
 def _half_spectrum(eta_points: int) -> tuple[float, np.ndarray, np.ndarray]:
     """The step deta of the ``eta_points``-node grid on [-40, 40], its nodes
     eta_k = (k + off) deta >= 0 padded to whole rows of 64 nodes, and the full grid's
     trapezoid weights folded over: 2 deta, deta at eta = 0 and at the end, 0 on the
-    padding.  Built once per node count and read-only: at most 8 entries of about
-    8 (eta_points + 128) bytes each (66 KB at the default 8 193 nodes)."""
+    padding.  Read-only, built once per node count up to 16 385 nodes: at most 8 entries
+    of about 8 (eta_points + 128) bytes each, 66 KB at the default 8 193 nodes, 1.1 MB in
+    all at most."""
     deta = 80.0 / (eta_points - 1)
     count = (eta_points + 1) // 2
     k = np.arange(-(-count // 64) * 64)

@@ -180,7 +180,9 @@ def test_weyl_predicts_each_row_once(capsys, monkeypatch):
     assert code == 0
     _, rows = parse_csv(out)
     taus = [float(r[0]) for r in rows[:-1] if float(r[0]) > 0]
-    assert calls == taus and len(taus) == 2000
+    # remainder_fit's three (the ratio check at the largest tau, then both endpoints'
+    # residuals), then one per row
+    assert calls == [taus[-1], taus[0], taus[-1], *taus] and len(taus) == 2000
 
 
 def test_weyl_residual_past_the_range_of_tau_power_exits_0(capsys):

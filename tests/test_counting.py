@@ -415,11 +415,6 @@ def test_remainder_fit_estimates_are_the_endpoints_of_the_residual_series(proble
     assert report.second_coeff_estimate.hex() == end.hex()
     trend = (end - start) / (math.log(last) - math.log(first))
     assert report.trend_slope.hex() == trend.hex()
-    # the same report from the residuals of every sample, as the weyl command passes them
-    residuals = [model.residual(t, c) for t, c in series.samples]
-    assert remainder_fit(series, model, residuals) == report
-    with pytest.raises(ValueError, match="one residual per sample"):
-        remainder_fit(series, model, residuals[1:])
 
 
 def test_remainder_fit_validation():

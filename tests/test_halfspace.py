@@ -736,3 +736,19 @@ def test_tables_are_read_only_with_the_documented_bound():
     with pytest.raises(ValueError, match="read-only"):
         arrays[0][0] = 0.0
     assert {table: table.cache_info().maxsize for table in _TABLES} == _TABLES
+
+
+def test_tables_past_the_size_limit_are_built_per_call():
+    A3 = MetricBlock(np.eye(2), 1.0)
+    limits = [(_sphere_rule, (A3, 4096), (A3, 4097)),
+              (_bluestein, (16000, 384, 0.001), (16000, 385, 0.001)),
+              (_half_spectrum, (16385,), (16387,))]
+    for table, largest, past in limits:
+        table.cache_clear()
+        assert table(*largest) is table(*largest)  # cached
+        first = table(*past)
+        again = table(*past)
+        assert again is not first and table.cache_info().currsize == 1  # built per call
+        arrays = [t for t in first if isinstance(t, np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        assert [np.asarray(t).tobytes() for t in again] == [np.asarray(t).tobytes() for t in first]
