@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -493,6 +494,10 @@ def main(argv=None) -> int:
     try:
         cfg = _build_config(args)
         _DISPATCH[cfg.command](cfg)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout: stop quietly, flush at exit to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,10 +12,11 @@ built once and kept read-only, in caches of a fixed number of entries that take
 only tables up to a fixed size (larger ones are built per call): the sphere rule
 with the block's direction norms (16 entries of 24 quad_points bytes, up to
 4 096 directions), the chirp table and Bluestein kernel FFT (8 entries of under
-48 (samples + nodes) bytes, up to samples + nodes = 16 384) and the half-spectrum
+48 (samples + nodes) bytes, up to samples + nodes = 16 384), the half-spectrum
 nodes and weights (8 entries of about 8 (eta_points + 128) bytes, up to 16 385
-nodes): about 9 MB in all at most.  A cached table gives the same bits as a
-fresh one.
+nodes) and the chirp-z phases of each sample grid (8 entries of under
+40 (samples + nodes) bytes, up to samples + eta_points = 16 384): about 14 MB in
+all at most.  A cached table gives the same bits as a fresh one.
 """
 
 from __future__ import annotations
@@ -249,29 +250,31 @@ def _sphere_rule(A: MetricBlock, quad_points: int | None) -> tuple[np.ndarray, f
     return dirs, weight, q
 
 
-def _kernel_values(A: MetricBlock, which: str, x: np.ndarray, x_n: np.ndarray,
-                   quad_points: int | None = None) -> np.ndarray:
+def _kernel_values(A: MetricBlock, which: str, x: np.ndarray, x_n,
+                   quad_points: int | None = None):
     """K1 or K2 at boundary offsets ``x`` (shape S + (n-1,)) and heights ``x_n``
     (broadcastable to S) by one sphere rule: the directions +-1 with weight 1 for n = 2,
     ``quad_points`` equispaced circle directions with weight 2 pi/quad_points
     for n = 3.  Raises SolverError on a non-finite value or an imaginary part
-    above 1e-10."""
+    above 1e-10.  A Python number ``x_n`` is checked as a float, and gives a scalar."""
     n = A.dim
-    x_n = np.asarray(x_n, dtype=float)
-    if not (x_n > 0).all():
+    scalar = isinstance(x_n, (int, float))
+    x_n = float(x_n) if scalar else np.asarray(x_n, dtype=float)[..., None]
+    if not (x_n > 0 if scalar else (x_n > 0).all()):
         raise ValueError("kernels are singular at the boundary: need x_n > 0")
     dirs, weight, q = _sphere_rule(A, quad_points if n == 3 else None)
-    xq = x_n[..., None] * q
+    xq = x_n * q
     r = 1.0 / (x @ dirs.T + 1j * xq)
     if which == "K2":
-        integrand = x_n[..., None] / math.sqrt(A.a_nn) * r ** (n - 1)
+        integrand = x_n / math.sqrt(A.a_nn) * r ** (n - 1)
     else:
         integrand = r ** (n - 1) * (1.0 + (n - 1) * 1j * xq * r)
     prefactor = (-1.0) ** (n - 1) * math.factorial(n - 2) / (2.0j * math.pi) ** (n - 1)
     value = prefactor * weight * integrand.sum(axis=-1)
-    if not np.isfinite(value).all():
+    if not (math.isfinite(value.real) and math.isfinite(value.imag) if scalar
+            else np.isfinite(value).all()):
         raise SolverError("kernel integral is not finite")
-    worst = np.abs(value.imag).max(initial=0.0)
+    worst = abs(value.imag) if scalar else np.abs(value.imag).max(initial=0.0)
     if worst > 1e-10:
         raise SolverError(f"kernel integral has imaginary part {worst:.3e}")
     return value.real
@@ -313,7 +316,8 @@ def _check_boundary_data(y: np.ndarray, phi: np.ndarray, h: np.ndarray, points):
     if phi.shape != y.shape or h.shape != y.shape:
         raise ValueError("data arrays must match the sample grid")
     dy = np.diff(y)
-    if not (dy[0] > 0 and np.allclose(dy, dy[0], rtol=1e-12, atol=0.0)):
+    # np.allclose(dy, dy[0], rtol=1e-12, atol=0.0) in one reduction, without all-inf steps
+    if not (0 < dy[0] < math.inf and np.abs(dy - dy[0]).max() <= 1e-12 * dy[0]):
         raise ValueError("sample grid must be uniform and increasing")
     for name, data in (("phi", phi), ("h", h)):
         if max(abs(data[0]), abs(data[-1])) > 1e-12:
@@ -393,22 +397,30 @@ def _bluestein(samples: int, count: int, alpha: float) -> tuple[np.ndarray, np.n
     return _read_only(chirp, np.fft.fft(kernel))
 
 
-def _chirp_z(data: np.ndarray, y: np.ndarray, etas: np.ndarray) -> np.ndarray:
-    """sum_j data[..., j] exp(-i etas[k] y[j]) for uniform grids ``y`` and
-    ``etas``, by Bluestein's chirp-z transform: one FFT convolution along the
-    last axis (Rabiner, Schafer & Rader 1969).  Indices are counted from the
-    grid middles (jc, kc), which keeps every phase small.  The grids are taken
-    as exactly uniform: y[j] is y[jc] + (j - jc) dy with dy from the grid ends."""
-    samples, count = y.size, etas.size
+def _chirp_z_tables(samples: int, ends, etas: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The pre-phase, the post-phase and the Bluestein kernel FFT with which ``_chirp_z``
+    transforms data on the uniform ``samples``-point grid y whose y[0], y[jc], y[-1] are
+    ``ends``, read-only.  Indices are counted from the grid middles (jc, kc), which keeps
+    every phase small.  The grid is taken as exactly uniform: y[j] is y[jc] + (j - jc) dy
+    with dy from the grid ends."""
+    y0, y_mid, y_last = ends
+    count = etas.size
     jc, kc = (samples - 1) // 2, (count - 1) // 2
-    dy = (y[-1] - y[0]) / (samples - 1)
+    dy = (y_last - y0) / (samples - 1)
     alpha = (etas[-1] - etas[0]) / max(count - 1, 1) * dy
     j, k = np.arange(samples) - jc, np.arange(count) - kc
     # etas[k] y[j] = etas[k] y[jc] + etas[kc] j dy + alpha k j,  2 k j = k^2 + j^2 - (k - j)^2
     chirp, kernel_fft = _bluestein(samples, count, alpha)
-    pre = data * (chirp[np.abs(j)] * np.exp(-1j * etas[kc] * dy * j))
-    conv = np.fft.ifft(np.fft.fft(pre, kernel_fft.size) * kernel_fft, axis=-1)[..., :count]
-    return conv * (chirp[np.abs(k)] * np.exp(-1j * etas * y[jc]))
+    pre = chirp[np.abs(j)] * np.exp(-1j * etas[kc] * dy * j)
+    return (*_read_only(pre, chirp[np.abs(k)] * np.exp(-1j * etas * y_mid)), kernel_fft)
+
+
+def _chirp_z(data: np.ndarray, tables: tuple[np.ndarray, ...]) -> np.ndarray:
+    """sum_j data[..., j] exp(-i etas[k] y[j]) by Bluestein's chirp-z transform, one FFT
+    convolution along the last axis (Rabiner, Schafer & Rader 1969)."""
+    pre, post, kernel_fft = tables
+    conv = np.fft.ifft(np.fft.fft(data * pre, kernel_fft.size) * kernel_fft, axis=-1)
+    return conv[..., :post.size] * post
 
 
 @_table_cache(8, lambda eta_points: eta_points <= 16385)
@@ -425,6 +437,15 @@ def _half_spectrum(eta_points: int) -> tuple[float, np.ndarray, np.ndarray]:
     etas = (k + 0.5 * (1 - eta_points % 2)) * deta
     w = deta * ((k < count).astype(float) + (k < count - 1) - (etas == 0))
     return (deta, *_read_only(etas, w))
+
+
+@_table_cache(8, lambda samples, ends, eta_points: samples + eta_points <= 16384)
+def _fourier_tables(samples: int, ends: bytes, eta_points: int) -> tuple[np.ndarray, ...]:
+    """The ``_chirp_z_tables`` of ``fourier_synthesis``, keyed on the bytes of y[0], y[jc],
+    y[-1] (so -0.0 and 0.0 stay apart), up to samples + eta_points = 16 384: at most 8 entries
+    of under 40 (samples + nodes) bytes, the kernel FFT shared with ``_bluestein``: 144 KB for
+    256 samples and 4 160 nodes, 5.3 MB in all at most."""
+    return _chirp_z_tables(samples, np.frombuffer(ends), _half_spectrum(eta_points)[1])
 
 
 def fourier_synthesis(A: MetricBlock, y, phi, h, points, eta_points: int = 8193) -> np.ndarray:
@@ -454,7 +475,8 @@ def fourier_synthesis(A: MetricBlock, y, phi, h, points, eta_points: int = 8193)
     if np.any(np.abs(pts[:, 0] - 0.5 * (y[0] + y[-1])) >= math.pi / deta):
         raise ValueError(f"aliasing: need |x' - window middle| < pi / deta = {math.pi / deta:.6g}")
 
-    phi_hat, h_hat = (dy * _chirp_z(d, y, etas) if d.any() else 0.0 for d in (phi, h))
+    tables = _fourier_tables(y.size, y[[0, (y.size - 1) // 2, -1]].tobytes(), eta_points)
+    phi_hat, h_hat = (dy * _chirp_z(d, tables) if d.any() else 0.0 for d in (phi, h))
     r = xi_norm(A, [1.0])
     ab = np.stack([w * phi_hat, w * (h_hat / math.sqrt(A.a_nn) + r * etas * phi_hat)], axis=1)
     ab = ab.reshape(-1, 128)  # row o: the (a, b) pairs of the nodes 64 o + j

@@ -844,11 +844,30 @@ def test_unknown_flag_exits_2():
     assert proc.returncode == 2
 
 
-def _fresh(*args, cwd=None):
+def _fresh_env():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def _fresh(*args, cwd=None):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), cwd=cwd)
+                          env=_fresh_env(), cwd=cwd)
+
+
+def test_a_closed_stdout_stops_quietly(tmp_path):
+    # 630 KB of rows overfill the pipe, so the writer meets the closed end for certain
+    argv = [sys.executable, "-m", "bisteklov", "weyl", "--problem", "p2", "--m-max", "10000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env())
+    assert proc.stdout.readline() == b"tau,count,predicted,residual_scaled\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), stderr) == (0, b"")
+    # a missing output directory is still a validation failure
+    missing = _fresh("-m", "bisteklov", "weyl", "--problem", "p2", "--m-max", "100",
+                     "--out", str(tmp_path / "missing" / "out.csv"))
+    assert missing.returncode == 2 and "No such file or directory" in missing.stderr
 
 
 def _fresh_python(code, cwd=None):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings, strategies as st
 
 from bisteklov import (
     AdequacyError,
@@ -21,7 +22,8 @@ from bisteklov import (
     solve_by_kernel,
     xi_norm,
 )
-from bisteklov.halfspace import _bluestein, _chirp_z, _half_spectrum, _solve_ode, _sphere_rule
+from bisteklov.halfspace import (_bluestein, _check_boundary_data, _chirp_z, _chirp_z_tables,
+                                 _fourier_tables, _half_spectrum, _solve_ode, _sphere_rule)
 
 
 def random_block(seed):
@@ -555,7 +557,8 @@ def test_chirp_z_equals_direct_transform(eta_points, half):
     data = np.stack([np.exp(-((y - 2.0) ** 2)), np.exp(-((y - 4.0) ** 2)) * np.cos(3.0 * y)])
     etas = _half_grid(eta_points) if half else np.linspace(-40.0, 40.0, eta_points)
     direct = data @ np.exp(-1j * np.outer(etas, y)).T
-    assert np.max(np.abs(_chirp_z(data, y, etas) - direct)) < 1e-12
+    tables = _chirp_z_tables(y.size, y[[0, (y.size - 1) // 2, -1]], etas)
+    assert np.max(np.abs(_chirp_z(data, tables) - direct)) < 1e-12
 
 
 def _full_grid_synthesis(A, y, phi, h, points, eta_max, eta_points):
@@ -675,11 +678,57 @@ def test_boundary_solves_refuse_degenerate_grids(route, grid):
         route(MetricBlock.identity(2), grid, None, data, [(0.0, 1.0)])
 
 
+def _accepts_grid(y):
+    try:
+        _check_boundary_data(y, None, None, [(0.0, 1.0)])
+    except ValueError as exc:
+        assert "uniform and increasing" in str(exc)
+        return False
+    return True
+
+
+_OVERFLOWING = np.array([-math.inf, -1.7e308, 1.7e308, math.inf])  # every step is +inf
+
+
+@settings(max_examples=500, deadline=None)
+@given(size=st.integers(4, 9), start=st.floats(-1e308, 1e308), step=st.floats(-1e308, 1e308),
+       jitter=st.lists(st.floats(-3e-12, 3e-12), min_size=9, max_size=9),
+       special=st.lists(st.tuples(st.integers(0, 8), st.sampled_from(
+           [math.nan, math.inf, -math.inf, 1.7e308, -1.7e308])), max_size=3))
+@example(size=4, start=0.0, step=1.0, jitter=[0.0, 0.0, 0.0, 1e-12] + [0.0] * 5, special=[])
+@example(size=4, start=0.0, step=1.0, jitter=[0.0, 0.0, 0.0, 9.9e-13] + [0.0] * 5, special=[])
+@example(size=4, start=-1.7e308, step=1.0, jitter=[0.0] * 9,
+         special=list(enumerate(_OVERFLOWING.tolist())))
+def test_grid_check_is_allclose_on_the_steps(size, start, step, jitter, special):
+    # relative perturbations of the steps around the 1e-12 tolerance, NaN and +-inf
+    # entries, decreasing grids and steps that overflow
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        y = start + step * (np.arange(size) + np.array(jitter[:size]))
+        for i, value in special:
+            y[i % size] = value
+        dy = np.diff(y)
+        same = dy[0] > 0 and np.allclose(dy, dy[0], rtol=1e-12, atol=0.0)
+        # the one grid allclose took: every step +inf, whose routes gave NaN
+        expected = same and dy[0] < math.inf
+        assert _accepts_grid(y) == expected
+
+
+def test_grid_check_at_the_edges_of_allclose():
+    # subnormal steps whose last one is off by exactly 1e-12 dy[0] (one unit), then by two
+    edge, past = (5e-324 * np.array([0.0, 1e12, 2e12, 3e12 + units]) for units in (1, 2))
+    assert _accepts_grid(edge) and not _accepts_grid(past)
+    with np.errstate(all="ignore"):
+        assert np.allclose(np.diff(_OVERFLOWING), math.inf, rtol=1e-12, atol=0.0)
+        assert not _accepts_grid(_OVERFLOWING)
+
+
 # ---------------------------------------------------------------------------
 # the fixed tables of the kernel and Fourier routes, built once
 # ---------------------------------------------------------------------------
 
-_TABLES = {_sphere_rule: 16, _bluestein: 8, _half_spectrum: 8}  # the documented maxsize
+# the documented maxsize of each table
+_TABLES = {_sphere_rule: 16, _bluestein: 8, _half_spectrum: 8, _fourier_tables: 8}
 
 
 def _cold(route):
@@ -727,22 +776,30 @@ def test_tables_of_different_blocks_and_grids_stay_apart():
                 for case in cases] == cold
 
 
+def test_fourier_tables_keep_signed_zeros_apart():
+    # -0.0 == 0.0, so a key of floats would hand one grid the other's table
+    plus, minus = (np.array([-15.0, zero, 15.0]).tobytes() for zero in (0.0, -0.0))
+    assert _fourier_tables(255, plus, 513) is not _fourier_tables(255, minus, 513)
+
+
 def test_tables_are_read_only_with_the_documented_bound():
     A3 = MetricBlock(np.eye(2), 1.0)
     tables = [*_sphere_rule(A3, 256), *_sphere_rule(MetricBlock.identity(2), None),
-              *_bluestein(128, 4160, 0.001), *_half_spectrum(8193)]
+              *_bluestein(128, 4160, 0.001), *_half_spectrum(8193),
+              *_fourier_tables(128, _Y[[0, 63, -1]].tobytes(), 8193)]
     arrays = [t for t in tables if isinstance(t, np.ndarray)]
-    assert len(arrays) == 8 and not any(a.flags.writeable for a in arrays)
+    assert len(arrays) == 11 and not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
         arrays[0][0] = 0.0
     assert {table: table.cache_info().maxsize for table in _TABLES} == _TABLES
 
 
 def test_tables_past_the_size_limit_are_built_per_call():
-    A3 = MetricBlock(np.eye(2), 1.0)
+    A3, ends = MetricBlock(np.eye(2), 1.0), np.array([-15.0, 0.0, 15.0]).tobytes()
     limits = [(_sphere_rule, (A3, 4096), (A3, 4097)),
               (_bluestein, (16000, 384, 0.001), (16000, 385, 0.001)),
-              (_half_spectrum, (16385,), (16387,))]
+              (_half_spectrum, (16385,), (16387,)),
+              (_fourier_tables, (256, ends, 16128), (256, ends, 16129))]
     for table, largest, past in limits:
         table.cache_clear()
         assert table(*largest) is table(*largest)  # cached
@@ -752,3 +809,82 @@ def test_tables_past_the_size_limit_are_built_per_call():
         arrays = [t for t in first if isinstance(t, np.ndarray)]
         assert arrays and not any(a.flags.writeable for a in arrays)
         assert [np.asarray(t).tobytes() for t in again] == [np.asarray(t).tobytes() for t in first]
+
+
+# float.hex of n = 3 kernel_K at 36 points and of both n = 2 routes on 256 samples with
+# phi and h nonzero, captured before the kernel routes kept their grid-only work
+_PINNED_POINTS = [((-2.0 + 0.8 * (i % 6), -2.0 + 0.8 * (i // 6)), 0.3 + 0.05 * i)
+                  for i in range(36)]
+_K3_HEX = {
+    ("identity", "K1"): """
+1.22778b6a9deafp-14 1.2626a9ded85cap-12 1.9d07c1a02dfcbp-11 1.1eeece4a88317p-10
+1.952c532400663p-11 1.a361245f530b4p-12 1.4db4f1cebf712p-10 1.b190aab809d34p-8
+1.a8e726b683ab7p-6 1.dfe78d8b86c4dp-6 1.58976fd297fb8p-7 1.97ad341a77a7fp-9
+1.9e3eddb916836p-8 1.5281a5cc631e8p-5 1.e877ebcb71d2bp-3 1.d509df17fae9cp-3
+1.89515a6a5a26bp-5 1.52183812632bep-7 1.6c4e0cc9ad2cfp-7 1.ad85892fb4351p-5
+1.7711ae9863e22p-3 1.661279b45cdc9p-3 1.c0d6bef34928ap-5 1.e5fd0d78b83c1p-7
+1.41febe3396bc4p-7 1.c63604a81f420p-6 1.c5e5cd90b4170p-5 1.c451e26a94292p-5
+1.e0954a911aff4p-6 1.8dc6b95280048p-7 1.aed8d3c079108p-8 1.a7a8910404263p-7
+1.3ed66f5d88bf4p-6 1.4438a74ac7f99p-6 1.c92467cf4dc96p-7 1.03234a9fdd4bdp-7
+""".split(),
+    ("identity", "K2"): """
+1.465ea213ee1bcp-11 1.859334c919580p-10 1.73ba2e435c988p-9 1.cf9bec20b86cep-9
+1.803d3c125acc0p-9 1.07c7b7e543febp-9 1.0cd1c2ca1a29dp-8 1.6f240567a87bdp-7
+1.a6e12c9fb3ce1p-6 1.cd3dd64341870p-6 1.f966a401abb45p-7 1.ec9bf44aa5e95p-8
+1.7d4264b818fcap-7 1.293b7ef1ab77fp-5 1.adda2ba8ca905p-4 1.a79fabd43c6c1p-4
+1.4eea8284738dap-5 1.0ca361fa93403p-6 1.1b592663f8785p-6 1.6a3adaf27866cp-5
+1.829c127d9247ap-4 1.7ad964f43d96cp-4 1.7c71c18c62953p-5 1.5dd3f286587acp-6
+1.13207d89f249fp-6 1.01ff2a2569d74p-5 1.8960c339249c9p-5 1.8afaf6751dd2cp-5
+1.0fdbfb3f82f95p-5 1.421aa41601629p-6 1.c06666cef3914p-7 1.52424359fb3dap-6
+1.b2a0444590a3bp-6 1.b94d1c9790304p-6 1.679e587d88491p-6 1.01156e6756b3fp-6
+""".split(),
+    ("spd", "K1"): """
+1.2937f4515c1e7p-13 1.3e4caf7da4b8fp-12 1.a326af5405d44p-12 1.6bf0c0707f250p-12
+1.f3d78ec6b8cebp-13 1.3bab8da1db469p-13 1.fc9254df94a21p-9 1.91eb2db4af6a4p-7
+1.2a0fdb909d089p-6 1.6870eea1a0476p-7 1.256587cd7370bp-8 1.d7dc8a0c16636p-10
+1.022bb600ade35p-6 1.605eaba1337cfp-4 1.19e9a7990d194p-2 1.63ab18a6105b5p-3
+1.6d5b41b1b1771p-5 1.8913bfe5bf1e6p-7 1.a6022037b8c37p-7 1.917921705caefp-5
+1.31f603de3c60bp-3 1.841345f445dbdp-3 1.6ccd61f93d33bp-4 1.e4e3b55d22bb6p-6
+1.9a7fe9de8a8b9p-8 1.f030f0210a125p-7 1.0272284d4f2f1p-5 1.77809762a6ab8p-5
+1.4ce4d54b14e37p-5 1.8f151fc7762f1p-6 1.93175f6985a35p-9 1.7522c15ab9fe2p-8
+1.384d0aeafe6e2p-7 1.b3bdb7fadae9cp-7 1.db439ad4caaaep-7 1.94068da50e6cap-7
+""".split(),
+    ("spd", "K2"): """
+1.b4d173164cb03p-11 1.63c0c3bb5f296p-10 1.aefd91a7234bdp-10 1.9568daef86352p-10
+1.4a73d4856ee03p-10 1.ff476ccbc9441p-11 1.c8f33e8cee79cp-8 1.cf202f929d486p-7
+1.29bb46c5b5cc8p-6 1.be6c310a510d2p-7 1.07b29de74dcabp-7 1.350441012c161p-8
+1.1f3836b6c21e0p-6 1.91f30485b0a1dp-5 1.980a17b3ddab8p-4 1.388594ce876edp-4
+1.1712b5a1ae13cp-5 1.001c9e885304fp-6 1.0d8ba9bdfb480p-6 1.2ef5c09606d2cp-5
+1.29fdc867f4687p-4 1.5a488d1c39b0bp-4 1.bb7e638023c8cp-5 1.cd30d538dca32p-6
+1.6dc7f6661a8edp-7 1.38a6855479cb1p-6 1.e8bf87c6af45bp-6 1.33a970f0d7e35p-5
+1.1fed5906ad1dap-5 1.aa0e4e0547f8dp-6 1.ef22a2af06d9fp-8 1.6838bd94c2e0ap-7
+1.ed51b7f9d0346p-7 1.2ecb4817e2fe3p-6 1.409ae312fcf29p-6 1.2447bce9932f1p-6
+""".split(),
+}
+_ROUTE_HEX = {
+    solve_by_kernel: """
+1.423e4741ad937p-6 1.7313c17b3f33ap-4 1.29ec8bb5e1ea4p-2 1.31938a9a49b78p-1
+1.6a7a2605d24c2p-1 1.0bcb8b9d4e4b9p-1 1.374da1d2bd1ebp-2 1.67b347344317ap-3
+""".split(),
+    fourier_synthesis: """
+1.4240a2db1895dp-6 1.7314e93db06c8p-4 1.29ed05efd04f8p-2 1.3193e5e528491p-1
+1.6a7aa587fee40p-1 1.0bcc35606820dp-1 1.374f55ee9b4f7p-2 1.67b788c058d02p-3
+""".split(),
+}
+
+
+@pytest.mark.parametrize("block, which", list(_K3_HEX))
+def test_kernel_n3_is_bit_exact(block, which):
+    A = (MetricBlock.identity(3) if block == "identity"
+         else MetricBlock(np.array([[2.0, 0.5], [0.5, 1.0]]), 1.3))
+    got = [kernel_K(A, which, list(xp), xn).hex() for xp, xn in _PINNED_POINTS]
+    assert got == ["0x" + h for h in _K3_HEX[block, which]]
+
+
+@pytest.mark.parametrize("route", list(_ROUTE_HEX), ids=lambda route: route.__name__)
+def test_routes_on_256_samples_are_bit_exact(route):
+    y = np.linspace(-15.0, 15.0, 256)
+    phi, h = np.exp(-((y - 0.5) ** 2)), 0.5 * np.exp(-((y + 0.7) ** 2))
+    pts = [(-3.0 + 6.0 * i / 7, 0.5 + 0.2 * i) for i in range(8)]
+    got = route(MetricBlock(np.array([[1.7]]), 1.3), y, phi, h, pts)
+    assert [float(v).hex() for v in got] == ["0x" + h for h in _ROUTE_HEX[route]]

@@ -141,3 +141,69 @@ def test_the_check_sees_a_module_level_numpy_import():
                      "    def m(self):\n"
                      "        from numpy import eye\n")
     assert _module_level_imports(tree, "numpy") == [1, 2, 8, 14]
+
+
+def _is_functools(node, name):
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+        and isinstance(node.value, ast.Name) and node.value.id == "functools")
+
+
+def _unbounded_caches(tree):
+    """Line of each cache with no bound on its entries: a use or import of
+    ``functools.cache``, an ``lru_cache`` whose maxsize is None, and a store into a
+    module-level dict from inside a function."""
+    def bindings(target, value):  # (name, value) pairs, tuple targets unpacked
+        if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+            for t, v in zip(target.elts, value.elts):
+                yield from bindings(t, v)
+        elif isinstance(target, ast.Name):
+            yield target.id, value
+
+    dicts = {name for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets for name, value in bindings(target, node.value)
+             if isinstance(value, (ast.Dict, ast.DictComp))
+             or (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict")}
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    inside = {id(n) for fn in functions for n in ast.walk(fn) if n is not fn}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools" and any(
+                alias.name == "cache" for alias in node.names):
+            yield node.lineno
+        elif isinstance(node, ast.Attribute) and _is_functools(node, "cache"):
+            yield node.lineno
+        elif isinstance(node, ast.Call) and _is_functools(node.func, "lru_cache"):
+            sizes = [*node.args[:1], *(k.value for k in node.keywords if k.arg == "maxsize")]
+            if any(isinstance(s, ast.Constant) and s.value is None for s in sizes):
+                yield node.lineno
+        elif id(node) in inside and isinstance(node, (ast.Subscript, ast.Attribute)) and (
+                isinstance(node.value, ast.Name) and node.value.id in dicts) and (
+                isinstance(node.ctx, ast.Store) if isinstance(node, ast.Subscript)
+                else node.attr in ("setdefault", "update", "__setitem__")):
+            yield node.lineno
+
+
+def test_every_cache_is_bounded():
+    unbounded = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+                 for line in _unbounded_caches(ast.parse(path.read_text()))]
+    assert unbounded == []
+
+
+def test_the_check_sees_an_unbounded_cache():
+    tree = ast.parse("import functools\n"
+                     "from functools import cache, lru_cache\n"
+                     "_SEEN, _TABLE = {}, {'a': 1}\n"
+                     "_MEMO = dict()\n"
+                     "@functools.cache\n"
+                     "def f(x):\n"
+                     "    _MEMO[x] = _TABLE['a']\n"
+                     "    return _MEMO[x]\n"
+                     "@lru_cache(maxsize=None)\n"
+                     "def g(x, size=8):\n"
+                     "    return functools.lru_cache(size)(len), _MEMO.setdefault(x, x)\n"
+                     "@functools.lru_cache(None)\n"
+                     "def h(x):\n"
+                     "    _TABLE[x] = x\n"
+                     "_TABLE['b'] = 2\n")
+    assert sorted(_unbounded_caches(tree)) == [2, 5, 7, 9, 11, 12, 14]
