@@ -164,7 +164,10 @@ _SETTINGS = {
     "problem": _Setting(str, "p1", ("spectrum", "weyl", "halfspace", "symbol"),
                         choices=tuple(sorted(p.value for p in ProblemKind)), modes=_BVP),
     "n": _Setting(int, 2, _ALL, (lambda v: v >= 2, "n >= 2")),
-    "m_max": _Setting(int, 10, ("spectrum", "weyl"), (lambda v: v >= 0, "m-max >= 0")),
+    # weyl holds about 450 B per eigenvalue (measured from m-max 1e5 to 2e5): the bound keeps
+    # a run under about 0.5 GB, where m-max 2e7 would need about 9 GB
+    "m_max": _Setting(int, 10, ("spectrum", "weyl"),
+                      (lambda v: 0 <= v <= 1_000_000, "0 <= m-max <= 1000000")),
     "rho": _Setting(str, "1", ("spectrum", "weyl", "symbol"),
                     help="weight: constant or expression in t"),
     "h": _Setting(float, 1.0 / 256.0, ("halfspace",), (lambda v: v > 0, "h > 0"), modes=_BVP),

@@ -229,23 +229,24 @@ def boundary_integral(weight: BoundaryWeight, n: int, panels: int) -> float:
         return pts, wts  # Python floats: a sum past the double range is inf, not a warning
 
     def total() -> float:
-        value = 0.0
+        value, power = 0.0, n - 1
+        rho, area = weight.rho, weight.area_element
         if len(weight.domain) == 1:
             pts, wts = axis_points(*weight.domain[0])
             for t, w in zip(pts, wts):
-                r = weight.rho(t)
+                r = rho(t)
                 if r < 0:
                     raise ValueError(f"negative weight sample at t={t}")
-                value += w * r ** (n - 1) * weight.area_element(t)
+                value += w * r ** power * area(t)
         else:
             pts1, wts1 = axis_points(*weight.domain[0])
             pts2, wts2 = axis_points(*weight.domain[1])
             for t1, w1 in zip(pts1, wts1):
                 for t2, w2 in zip(pts2, wts2):
-                    r = weight.rho(t1, t2)
+                    r = rho(t1, t2)
                     if r < 0:
                         raise ValueError(f"negative weight sample at ({t1}, {t2})")
-                    value += w1 * w2 * r ** (n - 1) * weight.area_element(t1, t2)
+                    value += w1 * w2 * r ** power * area(t1, t2)
         return value
 
     return in_double_range(total, "weight out of range: the integral of rho^(n-1) must be "
@@ -282,6 +283,13 @@ def _homogeneity_probe(symbol: HomogeneousSymbol, x) -> None:
         raise ValueError("symbol is not positively homogeneous of its declared degree")
 
 
+def _quadratic_forms(pts, g):
+    """pts[i] . g . pts[i] for each row i, bit for bit np.einsum("ij,jk,ik->i", pts, g, pts):
+    the same products, (pts[:, j] g[j, k]) pts[:, k], summed in einsum's order, k fastest."""
+    dim = len(g)
+    return sum(pts[:, j] * g[j, k] * pts[:, k] for j in range(dim) for k in range(dim))
+
+
 def phase_volume_montecarlo(symbol: HomogeneousSymbol, x, samples: int,
                             seed: int) -> MonteCarloVolume:
     """Seeded Monte Carlo estimate of the sublevel-set fiber volume.
@@ -303,7 +311,7 @@ def phase_volume_montecarlo(symbol: HomogeneousSymbol, x, samples: int,
     box_volume = float(np.prod(2.0 * half))
     rng = np.random.default_rng(seed)
     pts = (2.0 * rng.random((samples, dim)) - 1.0) * half
-    quad = np.einsum("ij,jk,ik->i", pts, g, pts)
+    quad = _quadratic_forms(pts, g)
     inside = symbol.coeff(x) * quad ** (symbol.degree / 2.0) < 1.0
     p_hat = float(np.count_nonzero(inside)) / samples
     det_weight = math.sqrt(float(np.linalg.det(g)))

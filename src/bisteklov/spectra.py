@@ -13,7 +13,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, islice
+from functools import partial
+from itertools import accumulate, islice, repeat
 from operator import add, gt
 from typing import Iterable, Mapping, NamedTuple
 
@@ -272,12 +273,15 @@ def _degree_exponents(nvars: int, m: int) -> list[tuple[int, ...]]:
 
 def _harmonic_extension(n: int, start: int, beta: Exponent) -> HarmonicPoly:
     # Solve Laplace's equation degree by degree in x_1: with p = sum_k x1^k c_k, each
-    # c_k free of x_1, harmonicity forces c_{k+2} = -lap(c_k) / ((k+1)(k+2)).
-    c = HarmonicPoly(n, {(0, *beta): Fraction(1)})
-    terms, k = {}, start
+    # c_k free of x_1, harmonicity forces c_{k+2} = -lap(c_k) / ((k+1)(k+2)).  The
+    # integer multiples N_k = (k!/start!) c_k obey N_{k+2} = -lap(N_k), so the loop runs
+    # on integers and divides once per term.
+    c = HarmonicPoly(n)._new({(0, *beta): 1})
+    terms, k, scale = {}, start, 1
     while not c.is_zero:
-        terms.update(((k, *alpha[1:]), coeff) for alpha, coeff in c.terms.items())
-        c = c.laplacian() * Fraction(-1, (k + 1) * (k + 2))
+        terms.update(((k, *alpha[1:]), Fraction(coeff, scale)) for alpha, coeff in c.terms.items())
+        c = -c.laplacian()
+        scale *= (k + 1) * (k + 2)
         k += 2
     return c._new(terms)
 
@@ -319,25 +323,34 @@ class SpectrumEntry(NamedTuple):
     cube: int | None = None
 
 
+# a SpectrumEntry from one (value, mult, cube) row, built by tuple's C constructor
+_entry = partial(tuple.__new__, SpectrumEntry)
+
+
+def _entry_rows(values, mults, cubes):
+    return map(_entry, zip(values, mults, repeat(None) if cubes is None else cubes))
+
+
 class _Entries(Sequence):
     """Read-only view of a spectrum's columns as ``SpectrumEntry`` records,
     each built when it is read."""
 
     __slots__ = ("_columns",)
 
-    def __init__(self, columns: tuple[tuple, ...]):
-        self._columns = columns
+    def __init__(self, values: tuple, mults: tuple, cubes: tuple | None):
+        self._columns = (values, mults, cubes)
 
     def __len__(self) -> int:
         return len(self._columns[0])
 
     def __getitem__(self, i):
+        values, mults, cubes = self._columns
         if isinstance(i, slice):
-            return tuple(map(SpectrumEntry, *(col[i] for col in self._columns)))
-        return SpectrumEntry(*(col[i] for col in self._columns))
+            return tuple(_entry_rows(values[i], mults[i], None if cubes is None else cubes[i]))
+        return _entry((values[i], mults[i], None if cubes is None else cubes[i]))
 
     def __iter__(self):
-        return map(SpectrumEntry, *self._columns)
+        return _entry_rows(*self._columns)
 
 
 @dataclass(frozen=True)
@@ -384,7 +397,7 @@ class Spectrum:
 
     @property
     def entries(self) -> Sequence[SpectrumEntry]:
-        return _Entries((self.values, self.mults) + (() if self.cubes is None else (self.cubes,)))
+        return _Entries(self.values, self.mults, self.cubes)
 
 
 def ball_spectrum_p1(n: int, m_max: int) -> Spectrum:
@@ -497,14 +510,15 @@ def radial_verify_p2(m: int) -> tuple[Fraction, Fraction, Fraction]:
         ode[k] = ode.get(k, 0) - m * m * c
     ode[m + 2] = ode.get(m + 2, 0) - s
 
-    f1 = Fraction(sum(f.values()), s)
-    neumann = Fraction(sum(df.values()), s)
+    # f(1), f'(1) and the radial equation are integers over s; with F = s f(1) the
+    # eigenvalue ratio is -m s / F, so the residual has the denominator s |F|
+    f_1, df_1 = sum(f.values()), sum(df.values())
+    cube = 2 * m * m * (m + 1)
     # inward normal derivative of the source harmonic is -m at r=1
-    ratio = Fraction(-m) / f1
-    residual = (
-        abs(neumann)
-        + abs(f1 + Fraction(1, 2 * m * (m + 1)))
-        + abs(ratio - 2 * m * m * (m + 1))
-        + Fraction(sum(abs(c) for c in ode.values()), s)
-    )
-    return f1, ratio, residual
+    ratio = Fraction(-m * s, f_1)
+    # |f(1) + 1/(2m(m+1))| = |F + 2| / s, and |ratio - cube| = |m s + cube F| / |F|
+    residual = Fraction(
+        (abs(df_1) + abs(f_1 + 2) + sum(abs(c) for c in ode.values())) * abs(f_1)
+        + abs(m * s + cube * f_1) * s,
+        s * abs(f_1))
+    return Fraction(f_1, s), ratio, residual

@@ -75,7 +75,7 @@ class AdequacyError(ValueError):
 
 
 def in_double_range(compute: Callable[[], float], message: str) -> float:
-    """``compute()``, bit for bit, if it is a finite normal double (a subnormal keeps only a
+    """``compute()``, bit for bit, if it is a positive normal double (a subnormal keeps only a
     few digits); else ValueError(message).  OverflowError and ZeroDivisionError count as inf."""
     try:
         value = compute()

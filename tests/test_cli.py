@@ -454,7 +454,7 @@ _ETA = st.floats(0.1, 4.0) | st.sampled_from([1e120, -1e150, 1e-110])
 _COUNTING_FLAGS = {
     "--problem": (st.sampled_from(["p1", "p2", "harmonic"]), st.just("p9")),
     "--n": (st.integers(2, 5), _HOSTILE_N),
-    "--m-max": (st.integers(0, 2000), st.just(-1)),
+    "--m-max": (st.integers(0, 2000), st.sampled_from([-1, 1_000_001])),
     "--rho": (st.sampled_from(["1", "2.5", "0.5"]) | _EXTREME_WEIGHT, st.text()),
 }
 
@@ -742,6 +742,16 @@ def test_flag_and_config_key_give_the_same_configuration(tmp_path, field):
         via_flag = _config([command, *mode, "--" + field.replace("_", "-"), _SAMPLES[field]])
         assert via_flag == _config([command, *mode, "--config", str(path)]), command
         assert via_flag[field] != _config([command, *mode])[field], command
+
+
+def test_m_max_bound(capsys):
+    # the bound itself passes validation (a run there takes about 13 s and 0.45 GB, so the
+    # exit-code property draws only the value past it)
+    for command in ("spectrum", "weyl"):
+        assert _config([command, "--m-max", "1000000"])["m_max"] == 1_000_000
+        for value in ("1000001", "20000000"):
+            code, out, err = run_cli(capsys, command, "--m-max", value)
+            assert (code, out, err) == (2, "", "error: need 0 <= m-max <= 1000000\n")
 
 
 def test_flags_a_command_does_not_read_exit_2(capsys):

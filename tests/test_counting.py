@@ -25,11 +25,13 @@ from bisteklov import (
     sphere_area,
     steklov_symbol,
     symbol_compose,
+    theta_symbol,
     unit_ball_volume,
     unit_circle_weight,
     unit_sphere_weight,
     weyl_leading,
 )
+from bisteklov.counting import _quadratic_forms
 
 P1 = ProblemKind.NEUMANN_TRACE
 P2 = ProblemKind.DIRICHLET_TRACE
@@ -260,6 +262,14 @@ def test_boundary_integral_cosine_weight():
     assert boundary_integral(w, 2, 16) == pytest.approx(4 * math.pi, abs=1e-10)
 
 
+def test_boundary_integral_bits():
+    # float.hex pins of a circle and a sphere integral; the sum runs in one fixed order
+    circle = unit_circle_weight(lambda t: 2.0 + 0.7 * math.cos(3.0 * t))
+    assert boundary_integral(circle, 2, 64).hex() == "0x1.921fb54442d0ep+3"
+    sphere = unit_sphere_weight(lambda t, p: 1.5 - 0.4 * math.cos(t) + 0.1 * math.sin(p))
+    assert boundary_integral(sphere, 3, 8).hex() == "0x1.d01e32475163ap+4"
+
+
 def test_boundary_integral_rejections():
     w = unit_circle_weight(lambda t: math.cos(t))  # negative on half the circle
     with pytest.raises(ValueError):
@@ -302,6 +312,25 @@ def test_phase_volume_montecarlo_reproducible():
     c = phase_volume_montecarlo(sym, 0.0, 50_000, seed=4)
     assert a.value == b.value and a.stderr == b.stderr
     assert a.value != c.value
+
+
+def test_phase_volume_montecarlo_bits():
+    metric = BoundaryMetric.constant([[2.5, 0.3], [0.3, 1.75]])
+    mc = phase_volume_montecarlo(theta_symbol(metric), None, 20_000, seed=12345)
+    assert (mc.value.hex(), mc.stderr.hex()) == ("0x1.fba2f270e134fp+0", "0x1.e9bb14fcd03c5p-8")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_quadratic_forms_match_einsum(dim):
+    # the sum over j, k of pts[:, j] g[j, k] pts[:, k], j outer, is einsum's own order
+    import numpy as np
+
+    for trial in range(10):
+        rng = np.random.default_rng(100 * dim + trial)
+        m = rng.uniform(-1.0, 1.0, (dim, dim))
+        g = m @ m.T + 2.0 * np.eye(dim)
+        pts = (2.0 * rng.random((3000, dim)) - 1.0) * rng.uniform(0.5, 3.0, dim)
+        assert np.array_equal(_quadratic_forms(pts, g), np.einsum("ij,jk,ik->i", pts, g, pts))
 
 
 def test_phase_volume_rejections():

@@ -293,9 +293,55 @@ def test_radial_triples_are_exact_fractions():
         assert all(type(x) is Fraction for x in triple)
 
 
+def _radial_reference(m):
+    """radial_verify_p2 as one Fraction per part: f(1), the Neumann value, the ratio
+    and each part of the residual."""
+    if m < 1:
+        raise ValueError("need m >= 1")
+    s = 4 * m * (m + 1)
+    f = {m + 2: m, m: -(m + 2)}
+
+    def d(p):
+        return {k - 1: c * k for k, c in p.items() if k}
+
+    df, ddf = d(f), d(d(f))
+    ode = {}
+    for k, c in ddf.items():
+        ode[k + 2] = ode.get(k + 2, 0) + c
+    for k, c in df.items():
+        ode[k + 1] = ode.get(k + 1, 0) + c
+    for k, c in f.items():
+        ode[k] = ode.get(k, 0) - m * m * c
+    ode[m + 2] = ode.get(m + 2, 0) - s
+    f1 = Fraction(sum(f.values()), s)
+    neumann = Fraction(sum(df.values()), s)
+    ratio = Fraction(-m) / f1
+    residual = (
+        abs(neumann)
+        + abs(f1 + Fraction(1, 2 * m * (m + 1)))
+        + abs(ratio - 2 * m * m * (m + 1))
+        + Fraction(sum(abs(c) for c in ode.values()), s)
+    )
+    return f1, ratio, residual
+
+
+def test_radial_matches_the_fraction_reference():
+    for m in range(1, 2001):
+        triple = radial_verify_p2(m)
+        assert triple == _radial_reference(m), m
+        assert all(type(x) is Fraction for x in triple)
+
+
 def test_radial_rejects_m_zero():
     with pytest.raises(ValueError):
         radial_verify_p2(0)
+
+
+@pytest.mark.parametrize("m", [1.0, 2.5, 7.0])
+def test_radial_rejects_a_float_degree(m):
+    for verify in (radial_verify_p2, _radial_reference):
+        with pytest.raises(TypeError):
+            verify(m)
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +449,14 @@ def test_spectrum_entries_view(name, build):
     view = s.entries
     assert len(view) == len(s.values) == 41
     assert list(view) == ref
-    assert all(type(e) is SpectrumEntry for e in view)
+    # iteration, indexing and slicing build the same records
+    for records in (list(view), [view[i] for i in range(-41, 41)], view[:], view[::-3]):
+        assert all(type(e) is SpectrumEntry for e in records)
+    assert [view[i] for i in range(-41, 41)] == ref + ref
     assert view[0] == ref[0] and view[7] == ref[7] and view[-1] == ref[-1]
     assert view[-41] == ref[0] and view[2:5] == tuple(ref[2:5])
+    assert view[:] == tuple(ref) and view[::-3] == tuple(ref[::-3]) and view[5:2] == ()
+    assert all(e.cube is None for e in view) == (name != "p2")
     assert (view[-1].value, view[-1].mult, view[-1].cube) == ref[-1]
     with pytest.raises(IndexError):
         view[41]
