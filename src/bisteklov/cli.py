@@ -9,11 +9,12 @@ written with 17 significant digits.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
-from typing import Callable, NamedTuple
+from array import array
+from itertools import chain, islice, starmap
+from typing import Callable, Iterable, NamedTuple
 
 from . import counting, spectra, symbols
 from .spectra import ProblemKind
@@ -164,24 +165,30 @@ _SETTINGS = {
     "problem": _Setting(str, "p1", ("spectrum", "weyl", "halfspace", "symbol"),
                         choices=tuple(sorted(p.value for p in ProblemKind)), modes=_BVP),
     "n": _Setting(int, 2, _ALL, (lambda v: v >= 2, "n >= 2")),
-    # weyl holds about 450 B per eigenvalue (measured from m-max 1e5 to 2e5): the bound keeps
-    # a run under about 0.5 GB, where m-max 2e7 would need about 9 GB
+    # weyl holds about 260 B per eigenvalue (peak RSS 42, 67 and 117 MB at m-max 1e5, 2e5 and
+    # 4e5): the bound keeps a run under about 0.3 GB, where m-max 2e7 would need about 5 GB
     "m_max": _Setting(int, 10, ("spectrum", "weyl"),
                       (lambda v: 0 <= v <= 1_000_000, "0 <= m-max <= 1000000")),
     "rho": _Setting(str, "1", ("spectrum", "weyl", "symbol"),
                     help="weight: constant or expression in t"),
     "h": _Setting(float, 1.0 / 256.0, ("halfspace",), (lambda v: v > 0, "h > 0"), modes=_BVP),
     "L": _Setting(float, 30.0, ("halfspace",), (lambda v: v > 0, "L > 0")),
-    "panels": _Setting(int, 64, ("symbol",), (lambda v: v >= 1, "panels >= 1")),
+    # symbol evaluates rho at 16 nodes per panel and writes one row per point: about 2 s at
+    # either bound, where 1e8 panels ran out of memory and 1e8 points ran for minutes
+    "panels": _Setting(int, 64, ("symbol",),
+                       (lambda v: 1 <= v <= 100_000, "1 <= panels <= 100000")),
     "eta": _Setting(float, 1.0, ("halfspace", "symbol"), (lambda v: v != 0, "eta != 0"),
                     modes=_BVP),
     "epsilon": _Setting(float, 0.0, ("symbol",), (lambda v: v >= 0, "epsilon >= 0")),
     # the ladder scales the step by 2.0 ** level, which overflows past level 1023
     "levels": _Setting(int, 4, ("halfspace",), (lambda v: 1 <= v <= 32, "1 <= levels <= 32"),
                        modes=_BVP),
-    "points": _Setting(int, 72, ("symbol",), (lambda v: v >= 1, "points >= 1")),
-    "samples": _Setting(int, 128, ("halfspace",), (lambda v: v >= 4, "samples >= 4"),
-                        modes=_KERNEL),
+    "points": _Setting(int, 72, ("symbol",),
+                       (lambda v: 1 <= v <= 100_000, "1 <= points <= 100000")),
+    # kernel mode is quadratic in the samples, about 7 s at the bound; past about 9 000
+    # samples the rounding of the sample grid fails its 1e-12 uniformity check anyway
+    "samples": _Setting(int, 128, ("halfspace",),
+                        (lambda v: 4 <= v <= 8192, "4 <= samples <= 8192"), modes=_KERNEL),
     "xn": _Setting(float, 1.0, ("halfspace",), (lambda v: v > 0, "xn > 0"), modes=_KERNEL),
     # None: the identity block; any integer, 0 included, seeds a block
     "seed": _Setting(int, None, ("halfspace",), modes=_BVP),
@@ -260,26 +267,25 @@ def _build_config(cfg: argparse.Namespace) -> argparse.Namespace:
 # CSV helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def _emit(header: list[str], rows: list[list], out: str | None) -> None:
+def _emit(out: str | None, header: str, row: str, rows: Iterable[tuple], last: str = "") -> None:
+    """Write a CSV table to ``out`` (None: stdout): the ``header`` line, then ``row % r``
+    for each r of ``rows`` as it comes, then ``last``, in writes of up to 4096 lines.  Every
+    field is a number, ``summary``, ``true``/``false`` or empty, so none needs quoting;
+    reals are written ``%.17g``.  A command decides every refusal before it calls this, so
+    a refused run writes nothing."""
     def write(stream):
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        lines = chain((header,), map(row.__mod__, rows), (last,))
+        while chunk := "".join(islice(lines, 4096)):
+            stream.write(chunk)
 
     if out is None:
         write(sys.stdout)
     else:
         with open(out, "w", encoding="utf-8", newline="") as f:
             write(f)
+
+
+_REALS = "%.17g,%.17g,%.17g,%.17g\n"
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +325,8 @@ def cmd_spectrum(cfg: argparse.Namespace) -> None:
     """Closed-form spectrum as CSV."""
     c = _constant_rho(cfg)
     spec = _scaled_spectrum(cfg, c)
-    rows = [[index, value, mult, count] for index, (value, mult, count)
-            in enumerate(zip(spec.values, spec.mults, spec.cumulative))]
-    _emit(["index", "value", "multiplicity", "cumulative_count"], rows, cfg.out)
+    _emit(cfg.out, "index,value,multiplicity,cumulative_count\n", "%d,%.17g,%d,%d\n",
+          zip(range(len(spec.values)), spec.values, spec.mults, spec.cumulative))
 
 
 def cmd_weyl(cfg: argparse.Namespace) -> None:
@@ -332,19 +337,25 @@ def cmd_weyl(cfg: argparse.Namespace) -> None:
         lambda: c ** (cfg.n - 1) * counting.sphere_area(cfg.n),
         f"weight {c:.6g} out of range: rho^(n-1) |S^(n-1)| leaves the double range")
     model = counting.WeylModel(cfg.problem, cfg.n, integral)
-    samples = tuple((tau, count) for tau, count in zip(spec.values, spec.cumulative) if tau > 0)
+    # the eigenvalues increase from 0 or more, so only the first can be zero; its row has
+    # no scaled residual
+    skip = 0 if spec.values[0] > 0 else 1
+    taus, counts = spec.values[skip:], spec.cumulative[skip:]
+    samples = tuple(zip(taus, counts))
     report = counting.remainder_fit(counting.CountingSeries(samples), model)
-    # only the first eigenvalue can be zero; its row has no scaled residual
-    rows = [[0.0, count, 0.0, float(count)]
-            for count in spec.cumulative[:len(spec.values) - len(samples)]]
-    rows += [[tau, count, *model.residual(tau, count)] for tau, count in samples]
-    rows.append(["summary", report.second_coeff_estimate, report.trend_slope,
-                 report.sharp_verdict])
-    _emit(["tau", "count", "predicted", "residual_scaled"], rows, cfg.out)
+    # every row's range checks run here, before the first line is written; the predicted
+    # counts and scaled residuals wait as 16 bytes a row, interleaved
+    residuals = array("d", chain.from_iterable(starmap(model.residual, samples)))
+    rows = chain([(0.0, count, 0.0, float(count)) for count in spec.cumulative[:skip]],
+                 zip(taus, counts, residuals[0::2], residuals[1::2]))
+    summary = "summary,%.17g,%.17g,%s\n" % (report.second_coeff_estimate, report.trend_slope,
+                                              "true" if report.sharp_verdict else "false")
+    _emit(cfg.out, "tau,count,predicted,residual_scaled\n", "%.17g,%d,%.17g,%.17g\n", rows,
+          summary)
 
 
-# halfspace and numpy are imported by the commands that build arrays only, so that
-# spectrum, weyl and identity-check never load numpy
+# halfspace and numpy are imported by the halfspace commands only, which build arrays: the
+# other commands never load numpy
 
 def _halfspace_bvp(cfg: argparse.Namespace) -> None:
     import numpy as np
@@ -384,14 +395,14 @@ def _halfspace_bvp(cfg: argparse.Namespace) -> None:
         recovered = solver(block, datum, grid)
         rel = abs(recovered - target) / abs(target)
         errors.append(rel)
-        rows.append([h, recovered, target, rel])
+        rows.append((h, recovered, target, rel))
     if len(errors) > 1:
         ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
         order = sum(math.log2(r) for r in ratios) / len(ratios)
     else:
         order = float("nan")
-    rows.append(["summary", order, target, errors[-1]])
-    _emit(["h", "recovered", "target", "rel_error"], rows, cfg.out)
+    _emit(cfg.out, "h,recovered,target,rel_error\n", _REALS, rows,
+          "summary,%.17g,%.17g,%.17g\n" % (order, target, errors[-1]))
 
 
 def _halfspace_kernel(cfg: argparse.Namespace) -> None:
@@ -408,11 +419,10 @@ def _halfspace_kernel(cfg: argparse.Namespace) -> None:
     points = [(float(x), cfg.xn) for x in y]
     via_kernel = halfspace.solve_by_kernel(block, y, None, data, points)
     via_fourier = halfspace.fourier_synthesis(block, y, np.zeros_like(y), data, points)
-    rows = [[float(x), k, f, abs(k - f)]
-            for x, k, f in zip(y, via_kernel, via_fourier)]
-    rows.append(["summary", float(np.max(np.abs(via_kernel - via_fourier))),
-                 cfg.samples, cfg.xn])
-    _emit(["x", "kernel", "fourier", "abs_error"], rows, cfg.out)
+    rows = [(float(x), k, f, abs(k - f)) for x, k, f in zip(y, via_kernel, via_fourier)]
+    _emit(cfg.out, "x,kernel,fourier,abs_error\n", _REALS, rows,
+          "summary,%.17g,%d,%.17g\n" % (np.max(np.abs(via_kernel - via_fourier)),
+                                          cfg.samples, cfg.xn))
 
 
 def cmd_halfspace(cfg: argparse.Namespace) -> None:
@@ -425,8 +435,6 @@ def cmd_halfspace(cfg: argparse.Namespace) -> None:
 
 def cmd_symbol(cfg: argparse.Namespace) -> None:
     """Weighted symbol and phase volume over the boundary."""
-    import numpy as np
-
     expr = WeightExpr(cfg.rho)
     if cfg.n == 2:
         weight = counting.unit_circle_weight(expr.fn, cfg.epsilon)
@@ -435,8 +443,7 @@ def cmd_symbol(cfg: argparse.Namespace) -> None:
         weight = counting.BoundaryWeight(expr.fn, lambda t: area * math.sin(t) ** power,
                                          ((0.0, math.pi),), cfg.epsilon)
     metric = symbols.BoundaryMetric.identity(cfg.n - 1)
-    eta = np.zeros(cfg.n - 1)
-    eta[0] = cfg.eta
+    eta = [cfg.eta] + [0.0] * (cfg.n - 2)
     sublevel = symbols.steklov_symbol(cfg.problem, metric, weight)
     (start, stop), = weight.domain
     rows = []
@@ -447,17 +454,17 @@ def cmd_symbol(cfg: argparse.Namespace) -> None:
             raise ValueError(f"weight is negative at theta={theta:.6g}")
         value = sublevel(theta, eta)
         volume = counting.hormander_phase_volume(sublevel, theta)
-        rows.append([theta, rho, value, volume])
+        rows.append((theta, rho, value, volume))
     integral = counting.boundary_integral(weight, cfg.n, cfg.panels)
     c_lead = counting.weyl_leading(cfg.problem, cfg.n, integral)
-    rows.append(["summary", integral, c_lead, ""])
-    _emit(["theta", "rho", "symbol", "phase_volume"], rows, cfg.out)
+    _emit(cfg.out, "theta,rho,symbol,phase_volume\n", _REALS, rows,
+          "summary,%.17g,%.17g,\n" % (integral, c_lead))
 
 
 def cmd_identity_check(cfg: argparse.Namespace) -> None:
     """Residuals of the closed-form constant identity."""
-    rows = [[n, counting.gamma_identity_check(n)] for n in range(2, cfg.n + 1)]
-    _emit(["n", "residual"], rows, cfg.out)
+    rows = [(n, counting.gamma_identity_check(n)) for n in range(2, cfg.n + 1)]
+    _emit(cfg.out, "n,residual\n", "%d,%.17g\n", rows)
 
 
 _DISPATCH = {

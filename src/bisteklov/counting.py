@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from operator import mul
+from typing import Callable, NamedTuple
 
+from .records import Record
 from .spectra import ProblemKind, Spectrum
 from .symbols import HomogeneousSymbol, in_double_range, principal
 
@@ -60,64 +61,64 @@ def _overflowing_power(tau: float, k: int) -> tuple[float, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class WeylModel:
+class WeylModel(Record):
     """Growth model for one problem kind in dimension n."""
 
-    problem: ProblemKind
-    n: int
-    boundary_integral: float
-    c_lead: float = field(init=False)
-    _predicted_message: str = field(init=False, repr=False, compare=False)
-    _residual_message: str = field(init=False, repr=False, compare=False)
+    _fields = ("problem", "n", "boundary_integral", "c_lead")
+    __slots__ = (*_fields, "_plain_below", "_predicted_message", "_residual_message")
 
-    def __post_init__(self):
-        object.__setattr__(self, "c_lead",
-                           weyl_leading(self.problem, self.n, self.boundary_integral))
-        object.__setattr__(self, "_predicted_message",
-                           f"n = {self.n}: the predicted count C_lead tau^(n-1) leaves the "
-                           "double range")
-        object.__setattr__(self, "_residual_message",
-                           f"n = {self.n}: the scaled residual (count - predicted) / tau^(n-2) "
-                           "leaves the double range")
+    def __init__(self, problem: ProblemKind, n: int, boundary_integral: float):
+        c_lead = weyl_leading(problem, n, boundary_integral)
+        # tau^k < 2^1024 where tau < 2^(1024 // k), as tau < 2^e for its binary exponent e:
+        # there _overflowing_power returns None, so predicted and residual skip it
+        plain_below = tuple(2.0 ** (1024 // k) if k > 1 else math.inf for k in (n - 1, n - 2))
+        predicted_message = (f"n = {n}: the predicted count C_lead tau^(n-1) leaves the "
+                             "double range")
+        residual_message = (f"n = {n}: the scaled residual (count - predicted) / tau^(n-2) "
+                            "leaves the double range")
+        for name, value in zip(self.__slots__, (problem, n, boundary_integral, c_lead,
+                                                plain_below, predicted_message, residual_message)):
+            object.__setattr__(self, name, value)
 
     def predicted(self, tau: float) -> float:
-        def product() -> float:
-            power = _overflowing_power(tau, self.n - 1)
-            if power is None:
-                return self.c_lead * tau ** (self.n - 1)
-            # a small C_lead may scale it back into range: multiply the mantissas and add
-            # the exponents, which ldexp applies exactly
-            c_mantissa, c_exponent = math.frexp(self.c_lead)
-            return math.ldexp(c_mantissa * power[0], c_exponent + power[1])
+        if tau < self._plain_below[0]:  # tau^(n-1) is in range: the plain product
+            return in_double_range(mul, self._predicted_message, self.c_lead, tau ** (self.n - 1))
+        return in_double_range(self._overflowing_product, self._predicted_message, tau)
 
-        return in_double_range(product, self._predicted_message)
+    def _overflowing_product(self, tau: float) -> float:
+        power = _overflowing_power(tau, self.n - 1)
+        if power is None:
+            return self.c_lead * tau ** (self.n - 1)
+        # a small C_lead may scale it back into range: multiply the mantissas and add
+        # the exponents, which ldexp applies exactly
+        c_mantissa, c_exponent = math.frexp(self.c_lead)
+        return math.ldexp(c_mantissa * power[0], c_exponent + power[1])
 
     def residual(self, tau: float, count: int) -> tuple[float, float]:
         """The predicted count at tau and the scaled residual (count - predicted) / tau^(n-2)."""
         predicted = self.predicted(tau)
         gap = count - predicted
-        power = _overflowing_power(tau, self.n - 2)
+        if self.n == 2:  # tau^0 = 1
+            return predicted, gap
+        power = None if tau < self._plain_below[1] else _overflowing_power(tau, self.n - 2)
         if power is None:
-            return predicted, gap / in_double_range(lambda: tau ** (self.n - 2),
-                                                    self._residual_message)
+            return predicted, gap / in_double_range(pow, self._residual_message, tau, self.n - 2)
         # tau^(n-2) overflows, the quotient need not: divide the mantissas and subtract the
         # exponents, which ldexp applies exactly unless the quotient is subnormal
         scaled = math.ldexp(gap / power[0], -power[1])
         if gap:  # a zero gap gives an exact zero
-            in_double_range(lambda: abs(scaled), self._residual_message)
+            in_double_range(abs, self._residual_message, scaled)
         return predicted, scaled
 
 
-@dataclass(frozen=True)
-class CountingSeries:
+class CountingSeries(Record):
     """Counting-function samples (tau, count) with tau strictly increasing."""
 
-    samples: tuple[tuple[float, int], ...]
+    __slots__ = _fields = ("samples",)
 
-    def __post_init__(self):
+    def __init__(self, samples: tuple[tuple[float, int], ...]):
         prev_tau, prev_count = None, None
-        for tau, count in self.samples:
+        for tau, count in samples:
             if count < 0:
                 raise ValueError("counts must be nonnegative")
             if prev_tau is not None and not tau > prev_tau:
@@ -125,10 +126,10 @@ class CountingSeries:
             if prev_count is not None and count < prev_count:
                 raise ValueError("counts must be nondecreasing")
             prev_tau, prev_count = tau, count
+        object.__setattr__(self, "samples", samples)
 
 
-@dataclass(frozen=True)
-class BoundaryWeight:
+class BoundaryWeight(Record):
     """Weight function on a parametrized boundary.
 
     ``domain`` is the parameter rectangle (one interval per parameter), ``rho``
@@ -137,16 +138,17 @@ class BoundaryWeight:
     divided by.
     """
 
-    rho: Callable[..., float]
-    area_element: Callable[..., float]
-    domain: tuple[tuple[float, float], ...]
-    epsilon: float = 0.0
+    __slots__ = _fields = ("rho", "area_element", "domain", "epsilon")
 
-    def __post_init__(self):
-        if self.epsilon < 0:
+    def __init__(self, rho: Callable[..., float], area_element: Callable[..., float],
+                 domain: tuple[tuple[float, float], ...], epsilon: float = 0.0):
+        if epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        if len(self.domain) not in (1, 2):
+        if len(domain) not in (1, 2):
             raise ValueError("only 1- or 2-parameter boundaries are supported")
+        for name, value in (("rho", rho), ("area_element", area_element), ("domain", domain),
+                            ("epsilon", epsilon)):
+            object.__setattr__(self, name, value)
 
     def rho_plus_eps(self, *params: float) -> float:
         value = self.rho(*params) + self.epsilon
@@ -205,6 +207,31 @@ def ball_count_closed(n: int, m: int) -> int:
     return math.comb(n + m - 1, n - 1) + math.comb(n + m - 2, n - 1)
 
 
+# The 16-point Gauss-Legendre rule on [-1, 1], bit for bit np.polynomial.legendre.leggauss(16)
+_GAUSS_NODES = (
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+)
+_GAUSS_WEIGHTS = (
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+)
+
+
+def _axis_rule(a: float, b: float, panels: int):
+    """The composite rule's (point, weight) pairs on [a, b], panel by panel."""
+    width = (b - a) / panels
+    half = 0.5 * width
+    for p in range(panels):
+        mid = a + (p + 0.5) * width
+        for node, weight in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
+            yield mid + half * node, half * weight
+
+
 def boundary_integral(weight: BoundaryWeight, n: int, panels: int) -> float:
     """Composite Gauss-Legendre quadrature of rho^(n-1) against the area element.
 
@@ -215,34 +242,20 @@ def boundary_integral(weight: BoundaryWeight, n: int, panels: int) -> float:
         raise ValueError("need panels >= 1")
     if n < 2:
         raise ValueError("need n >= 2")
-    import numpy as np
 
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-
-    def axis_points(a: float, b: float):
-        width = (b - a) / panels
-        pts, wts = [], []
-        for p in range(panels):
-            mid = a + (p + 0.5) * width
-            pts.extend((mid + 0.5 * width * nodes).tolist())
-            wts.extend((0.5 * width * weights).tolist())
-        return pts, wts  # Python floats: a sum past the double range is inf, not a warning
-
-    def total() -> float:
+    def total() -> float:  # in Python floats: a sum past the double range is inf, not a warning
         value, power = 0.0, n - 1
         rho, area = weight.rho, weight.area_element
         if len(weight.domain) == 1:
-            pts, wts = axis_points(*weight.domain[0])
-            for t, w in zip(pts, wts):
+            for t, w in _axis_rule(*weight.domain[0], panels):
                 r = rho(t)
                 if r < 0:
                     raise ValueError(f"negative weight sample at t={t}")
                 value += w * r ** power * area(t)
         else:
-            pts1, wts1 = axis_points(*weight.domain[0])
-            pts2, wts2 = axis_points(*weight.domain[1])
-            for t1, w1 in zip(pts1, wts1):
-                for t2, w2 in zip(pts2, wts2):
+            inner = list(_axis_rule(*weight.domain[1], panels))
+            for t1, w1 in _axis_rule(*weight.domain[0], panels):
+                for t2, w2 in inner:
                     r = rho(t1, t2)
                     if r < 0:
                         raise ValueError(f"negative weight sample at ({t1}, {t2})")
@@ -257,8 +270,7 @@ def boundary_integral(weight: BoundaryWeight, n: int, panels: int) -> float:
 # phase-space volumes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MonteCarloVolume:
+class MonteCarloVolume(NamedTuple):
     value: float
     stderr: float
 
@@ -272,12 +284,10 @@ def _require_ellipsoidal(symbol: HomogeneousSymbol) -> None:
 
 
 def _homogeneity_probe(symbol: HomogeneousSymbol, x) -> None:
-    import numpy as np
-
     dim = symbol.metric.dim
-    eta = np.ones(dim) / math.sqrt(dim)
+    eta = [1.0 / math.sqrt(dim)] * dim
     v1 = symbol(x, eta)
-    v2 = symbol(x, 2.0 * eta)
+    v2 = symbol(x, [2.0 * e for e in eta])
     expected = 2.0 ** symbol.degree * v1
     if not v1 > 0 or abs(v2 - expected) > 1e-9 * abs(expected):
         raise ValueError("symbol is not positively homogeneous of its declared degree")
@@ -340,8 +350,7 @@ def hormander_phase_volume(symbol: HomogeneousSymbol, x) -> float:
 # remainder study
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RemainderReport:
+class RemainderReport(NamedTuple):
     """Outcome of fitting the next-order coefficient of a counting series."""
 
     second_coeff_estimate: float

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, islice, repeat
 from operator import add, gt
 from typing import Iterable, Mapping, NamedTuple
+
+from .records import Record
 
 Exponent = tuple[int, ...]
 
@@ -52,8 +53,7 @@ def _accumulate(terms: dict, alpha: Exponent, coeff) -> None:
         del terms[alpha]
 
 
-@dataclass(frozen=True)
-class HarmonicPoly:
+class HarmonicPoly(Record):
     """Polynomial in ``n`` variables with exact rational coefficients.
 
     ``terms`` maps exponent tuples to nonzero coefficients.  The class is a
@@ -61,20 +61,20 @@ class HarmonicPoly:
     holding solid harmonics and their eigenfunction products.
     """
 
-    n: int
-    terms: Mapping[Exponent, Fraction] = field(default_factory=dict)
+    __slots__ = _fields = ("n", "terms")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, terms: Mapping[Exponent, Fraction] | None = None):
+        if n < 1:
             raise ValueError("need at least one variable")
         clean = {}
-        for alpha, c in self.terms.items():
+        for alpha, c in (terms or {}).items():
             alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != self.n or any(a < 0 for a in alpha):
-                raise ValueError(f"bad exponent {alpha} for n={self.n}")
+            if len(alpha) != n or any(a < 0 for a in alpha):
+                raise ValueError(f"bad exponent {alpha} for n={n}")
             c = Fraction(c)
             if c:
                 _accumulate(clean, alpha, c)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
 
     def _new(self, terms: dict) -> "HarmonicPoly":
@@ -353,27 +353,23 @@ class _Entries(Sequence):
         return _entry_rows(*self._columns)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """Sorted eigenvalues of one problem kind, stored as columns: ``values[i]``
     has multiplicity ``mults[i]`` and exact integer cube ``cubes[i]``, or
     ``cubes`` is None.  ``cumulative[i]`` counts the eigenvalues, with
     multiplicity, through ``values[i]``.  ``entries`` is a read-only view that
     builds each ``SpectrumEntry`` when read; the spectrum holds none."""
 
-    problem: ProblemKind
-    n: int
-    values: tuple[float, ...]
-    mults: tuple[int, ...]
-    cubes: tuple[int, ...] | None = None
-    cumulative: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # no __slots__: a spectrum keeps its columns in a __dict__, which vars() lists
+    _fields = ("problem", "n", "values", "mults", "cubes")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, problem: ProblemKind, n: int, values: Sequence[float],
+                 mults: Sequence[int], cubes: Sequence[int] | None = None):
+        if n < 1:
             raise ValueError("dimension must be >= 1")
         # tuple() returns a tuple column as it is and freezes any other sequence
-        values, mults = tuple(self.values), tuple(self.mults)
-        cubes = None if self.cubes is None else tuple(self.cubes)
+        values, mults = tuple(values), tuple(mults)
+        cubes = None if cubes is None else tuple(cubes)
         if len(mults) != len(values) or (cubes is not None and len(cubes) != len(values)):
             raise ValueError("values, multiplicities and cubes must have equal length")
         try:
@@ -385,15 +381,16 @@ class Spectrum:
                 raise ValueError("eigenvalues must be strictly increasing")
             if values and not values[0] >= 0:
                 raise ValueError("eigenvalues must be nonnegative")
-            if values and self.problem is ProblemKind.NEUMANN_TRACE and not values[0] > 0:
+            if values and problem is ProblemKind.NEUMANN_TRACE and not values[0] > 0:
                 raise ValueError("problem-1 eigenvalues must be positive")
             if cubes is not None and not all(map(gt, islice(cubes, 1, None), cubes)):
                 raise ValueError("exact cubes must be strictly increasing")
         except TypeError:  # None or another entry that does not compare with numbers
             raise ValueError("spectrum columns must hold numbers") from None
-        for name, column in (("values", values), ("mults", mults), ("cubes", cubes)):
-            object.__setattr__(self, name, column)
-        object.__setattr__(self, "cumulative", tuple(accumulate(mults)))
+        for name, value in (("problem", problem), ("n", n), ("values", values),
+                            ("mults", mults), ("cubes", cubes),
+                            ("cumulative", tuple(accumulate(mults)))):
+            object.__setattr__(self, name, value)
 
     @property
     def entries(self) -> Sequence[SpectrumEntry]:
@@ -435,8 +432,7 @@ def disk_spectrum_harmonic(m_max: int) -> Spectrum:
 # exact eigenpair verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EigenpairCheck:
+class EigenpairCheck(NamedTuple):
     """Three exact booleans for a candidate ball eigenfunction."""
 
     biharmonic: bool          # fourth-order equation holds identically

@@ -9,50 +9,73 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
+from .records import Record
 from .spectra import ProblemKind
 
-# numpy is imported inside the functions that build arrays, so that the exact commands
-# (spectrum, constant-weight weyl, identity-check) never load it
+# symbols run on Python floats and never load numpy: BoundaryMetric builds its ndarray view
+# only when an array consumer reads ``matrix``
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
     from .counting import BoundaryWeight
 
 
-def _check_spd(matrix, what: str) -> np.ndarray:
-    """A private, read-only float copy of ``matrix``, checked square, symmetric (to 1e-12)
-    and positive definite; ``what`` names it in the error."""
-    import numpy as np
-
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{what} must be square")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
-        raise ValueError(f"{what} must be symmetric")
+def _check_spd(matrix, what: str) -> tuple[tuple[float, ...], ...]:
+    """The rows of ``matrix`` as tuples of floats, checked square, symmetric (to 1e-12)
+    and positive definite: every pivot of its Cholesky factorisation is positive.
+    ``what`` names it in the error."""
     try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise ValueError(f"{what} must be positive definite") from None
-    a.flags.writeable = False
-    return a
+        rows = tuple(tuple([float(v) for v in row]) for row in matrix)
+    except TypeError:  # a scalar, a 1-d sequence or deeper nesting
+        raise ValueError(f"{what} must be square") from None
+    dim = len(rows)
+    if not dim or any(len(row) != dim for row in rows):
+        raise ValueError(f"{what} must be square")
+    # as np.allclose(a, a.T, rtol=0, atol=1e-12): equal infinities match, a nan matches nothing
+    if not all(a == b or abs(a - b) <= 1e-12
+               for j, row in enumerate(rows) for a, b in zip(row, (r[j] for r in rows))):
+        raise ValueError(f"{what} must be symmetric")
+    factor: list[list[float]] = []  # the Cholesky factor, row by row
+    for j, row in enumerate(rows):
+        lower: list[float] = []
+        for k in range(j):
+            lower.append((row[k] - sum(a * b for a, b in zip(factor[k], lower))) / factor[k][k])
+        pivot = row[j] - sum(x * x for x in lower)
+        if not pivot > 0:  # also refuses a nan pivot
+            raise ValueError(f"{what} must be positive definite")
+        factor.append(lower + [math.sqrt(pivot)])
+    return rows
 
 
-@dataclass(frozen=True, eq=False)
-class BoundaryMetric:
-    """Constant inverse boundary metric g^{jk}, checked SPD when built; it keeps a
-    read-only copy, so a later write to the caller's array cannot undo the check."""
+class BoundaryMetric(Record):
+    """Constant inverse boundary metric g^{jk}, checked SPD when built.  It keeps its own
+    float copy, ``rows``, so a later write to the caller's array cannot undo the check;
+    ``matrix`` is a read-only ndarray of it for array code, built when first read."""
 
-    matrix: np.ndarray
+    __slots__ = ("rows", "_array")
+    _fields = ("rows",)
+    # compared by identity, as before: two metrics with equal entries are distinct objects
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _check_spd(self.matrix, "metric"))
+    def __init__(self, matrix):
+        object.__setattr__(self, "rows", _check_spd(matrix, "metric"))
+        object.__setattr__(self, "_array", None)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.rows)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._array is None:
+            import numpy as np
+
+            array = np.array(self.rows)
+            array.flags.writeable = False
+            object.__setattr__(self, "_array", array)
+        return self._array
 
     # an alias of the constructor, kept because the benchmark's workloads call it
     @staticmethod
@@ -61,9 +84,7 @@ class BoundaryMetric:
 
     @staticmethod
     def identity(dim: int) -> "BoundaryMetric":
-        import numpy as np
-
-        return BoundaryMetric(np.eye(dim))
+        return BoundaryMetric([[float(j == k) for k in range(dim)] for j in range(dim)])
 
 
 class SolverError(RuntimeError):
@@ -74,11 +95,12 @@ class AdequacyError(ValueError):
     """Domain truncation too short for the requested covector."""
 
 
-def in_double_range(compute: Callable[[], float], message: str) -> float:
-    """``compute()``, bit for bit, if it is a positive normal double (a subnormal keeps only a
-    few digits); else ValueError(message).  OverflowError and ZeroDivisionError count as inf."""
+def in_double_range(compute: Callable[..., float], message: str, *args) -> float:
+    """``compute(*args)``, bit for bit, if it is a positive normal double (a subnormal keeps
+    only a few digits); else ValueError(message).  OverflowError and ZeroDivisionError count
+    as inf.  Passing ``args`` instead of a closure keeps a per-row check from building one."""
     try:
-        value = compute()
+        value = compute(*args)
     except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not sys.float_info.min <= value < math.inf:  # also False for nan
@@ -89,18 +111,23 @@ def in_double_range(compute: Callable[[], float], message: str) -> float:
 def quadratic_form(metric: BoundaryMetric, eta) -> float:
     """eta' . g^{-1} . eta', rejecting a form that is zero, non-finite or
     outside the normal double range."""
-    import numpy as np
-
-    eta = np.asarray(eta, dtype=float).reshape(-1)
-    if eta.shape != (metric.dim,):
+    eta = [float(e) for e in eta]  # a sequence or 1-d array of numbers
+    if len(eta) != metric.dim:
         raise ValueError(f"covector must have {metric.dim} components")
-    with np.errstate(over="ignore", invalid="ignore"):  # in_double_range refuses inf and nan
-        return in_double_range(lambda: float(eta @ metric.matrix @ eta),
-                               "covector must be nonzero and finite, with a form in double range")
+    return in_double_range(_form, "covector must be nonzero and finite, with a form in double "
+                                  "range", metric.rows, eta)
 
 
-@dataclass(frozen=True)
-class HomogeneousSymbol:
+def _form(rows, eta: list[float]) -> float:
+    """(eta' g) . eta', each sum taken from the first index, in Python floats: an overflow
+    is inf and 0 * inf is nan.  In one dimension this is numpy's eta @ g @ eta bit for bit."""
+    form = 0.0
+    for e_k, column in zip(eta, zip(*rows)):
+        form += sum([e_j * g_jk for e_j, g_jk in zip(eta, column)]) * e_k
+    return form
+
+
+class HomogeneousSymbol(NamedTuple):
     """Positively homogeneous function of (x', eta') with a known degree.
 
     ``coeff`` and ``metric`` are set for members of the ellipsoidal family
@@ -108,7 +135,7 @@ class HomogeneousSymbol:
     """
 
     degree: float
-    fn: Callable[[Any, np.ndarray], float]
+    fn: Callable[[Any, Any], float]
     coeff: Callable[[Any], float] | None = None
     metric: BoundaryMetric | None = None
 

@@ -303,8 +303,8 @@ def test_halfspace_seeded_block_deterministic(capsys):
 def test_halfspace_bvp_run_checks_the_metric_once(capsys, monkeypatch):
     # the block's tangential metric is the one the target symbol reads
     calls = []
-    cholesky = np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a))
+    check = symbols._check_spd
+    monkeypatch.setattr(symbols, "_check_spd", lambda *a: calls.append(a) or check(*a))
     code, _, _ = run_cli(capsys, "halfspace", "--problem", "p2", "--n", "3", "--seed", "4",
                          "--levels", "2")
     assert code == 0 and len(calls) == 1
@@ -459,7 +459,9 @@ _COUNTING_FLAGS = {
 }
 
 # command line before the flags: {flag: (valid values, hostile values)}; no draw
-# makes a grid of more than 40 * 1000 unknowns or a spectrum past m = 2000
+# makes a grid of more than 40 * 1000 unknowns or a spectrum past m = 2000, and a
+# count past its bound (--m-max, --samples, --points, --panels) is refused before
+# anything is allocated
 _FLAGS = {
     ("halfspace", "--mode=bvp"): {
         "--h": (st.floats(1 / 256, 0.5), _HOSTILE_FLOAT),
@@ -471,7 +473,7 @@ _FLAGS = {
         "--n": (st.integers(2, 3), _HOSTILE_INT),
     },
     ("halfspace", "--mode=kernel"): {
-        "--samples": (st.integers(4, 48), _HOSTILE_INT),
+        "--samples": (st.integers(4, 48), _HOSTILE_INT | st.just(8193)),
         "--L": (st.floats(12.0, 40.0), _HOSTILE_FLOAT),
         "--xn": (st.floats(0.05, 4.0), _HOSTILE_FLOAT),
     },
@@ -480,8 +482,8 @@ _FLAGS = {
                   st.sampled_from(["cos(t)", "-1"]) | st.text()),
         "--eta": (_ETA, _HOSTILE_FLOAT),
         "--epsilon": (st.floats(0.0, 1.0), _HOSTILE_FLOAT),
-        "--points": (st.integers(1, 8), _HOSTILE_INT),
-        "--panels": (st.integers(1, 16), _HOSTILE_INT),
+        "--points": (st.integers(1, 8), _HOSTILE_INT | st.just(100_001)),
+        "--panels": (st.integers(1, 16), _HOSTILE_INT | st.just(100_001)),
         "--problem": (st.sampled_from(["p1", "p2", "harmonic"]), st.just("p3")),
         "--n": (st.integers(2, 3), _HOSTILE_INT),
     },
@@ -754,6 +756,32 @@ def test_m_max_bound(capsys):
             assert (code, out, err) == (2, "", "error: need 0 <= m-max <= 1000000\n")
 
 
+@pytest.mark.parametrize("argv, bound", [
+    ("symbol --points", 100_000), ("symbol --panels", 100_000),
+    ("halfspace --mode kernel --samples", 8192)])
+def test_count_flags_are_bounded(capsys, argv, bound):
+    # the bound passes validation; past it, even by far, the run is refused before it
+    # allocates a row, a node or a sample
+    *command, flag = argv.split()
+    assert _config([*command, flag, str(bound)])[flag[2:]] == bound
+    for value in (bound + 1, 100_000_000):
+        code, out, err = run_cli(capsys, *command, flag, str(value))
+        low = cli._SETTINGS[flag[2:]].bound[1]
+        assert (code, out, err) == (2, "", f"error: need {low}\n")
+        assert str(bound) in low
+
+
+@pytest.mark.parametrize("argv", [
+    "weyl --m-max 5", "weyl --problem p1 --n 300 --m-max 30", "weyl --rho 0",
+    "spectrum --problem p2 --n 3", "spectrum --problem p2 --m-max 4 --rho 1e-310"])
+def test_a_refused_table_writes_nothing(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and out == "" and err.startswith("error: ")
+    path = tmp_path / "table.csv"
+    assert run_cli(capsys, *argv.split(), "--out", str(path))[0] == 2
+    assert not path.exists()
+
+
 def test_flags_a_command_does_not_read_exit_2(capsys):
     argvs = [("identity-check", "--mode", "kernel", "--h", "5"),
              ("identity-check", "--h", "5"),  # not taken as an abbreviation of --help
@@ -927,29 +955,36 @@ def test_kernel_mode_does_not_load_scipy():
 
 
 # ---------------------------------------------------------------------------
-# the exact commands never load numpy
+# the scalar commands load neither numpy nor the dataclass machinery
 # ---------------------------------------------------------------------------
 
-_EXACT_COMMANDS = ("spectrum --problem p1 --n 3 --m-max 10",
-                   "weyl --problem p2 --m-max 10000 --out flux_counts.csv",
-                   "identity-check --n 12")
+# the README lines that compute on Python numbers only
+_SCALAR_COMMANDS = ("spectrum --problem p1 --n 3 --m-max 10",
+                    "weyl --problem p2 --m-max 10000 --out flux_counts.csv",
+                    'symbol --problem p1 --rho "2+cos(t)" --points 72',
+                    "identity-check --n 12")
+# modules a fresh process of these commands must not load: numpy, and the dataclass
+# machinery, which costs about 10 ms of start-up
+_UNLOADED = ("numpy", "dataclasses", "inspect")
 
 
 def test_import_and_the_exact_readme_commands_do_not_load_numpy(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     argvs = []
-    for line in _EXACT_COMMANDS:
+    for line in _SCALAR_COMMANDS:
         assert f"bisteklov {line}\n" in readme
-        argvs.append(line.split())
+        argvs.append(shlex.split(line))
+    argvs.append(["symbol", "--n", "3", "--rho", "2+cos(t)", "--points", "20"])
     out = _fresh_python(
         "import contextlib, io, sys, bisteklov\n"
         "from bisteklov.cli import main\n"
-        "seen = ['numpy' in sys.modules]\n"
+        f"loaded = lambda: [name for name in {_UNLOADED!r} if name in sys.modules]\n"
+        "seen = [loaded()]\n"
         f"for argv in {argvs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        seen.append((main(argv), 'numpy' in sys.modules))\n"
+        "        seen.append((main(argv), loaded()))\n"
         "print(seen)", cwd=tmp_path)
-    assert out == "[False, (0, False), (0, False), (0, False)]"
+    assert out == repr([[]] + [(0, [])] * len(argvs))
     assert (tmp_path / "flux_counts.csv").stat().st_size > 0
 
 

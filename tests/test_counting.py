@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from bisteklov import (
     BoundaryMetric,
+    BoundaryWeight,
     CountingSeries,
+    HarmonicPoly,
     HomogeneousSymbol,
     ProblemKind,
     Spectrum,
@@ -31,7 +33,7 @@ from bisteklov import (
     unit_sphere_weight,
     weyl_leading,
 )
-from bisteklov.counting import _quadratic_forms
+from bisteklov.counting import _GAUSS_NODES, _GAUSS_WEIGHTS, _quadratic_forms
 
 P1 = ProblemKind.NEUMANN_TRACE
 P2 = ProblemKind.DIRICHLET_TRACE
@@ -270,6 +272,14 @@ def test_boundary_integral_bits():
     assert boundary_integral(sphere, 3, 8).hex() == "0x1.d01e32475163ap+4"
 
 
+def test_gauss_legendre_table_is_leggauss_16_bit_for_bit():
+    import numpy as np
+
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert [x.hex() for x in _GAUSS_NODES] == [float(x).hex() for x in nodes]
+    assert [w.hex() for w in _GAUSS_WEIGHTS] == [float(w).hex() for w in weights]
+
+
 def test_boundary_integral_rejections():
     w = unit_circle_weight(lambda t: math.cos(t))  # negative on half the circle
     with pytest.raises(ValueError):
@@ -490,3 +500,34 @@ def test_gamma_duplication_oracle():
 def test_gamma_identity_rejects():
     with pytest.raises(ValueError):
         gamma_identity_check(1)
+
+
+# ---------------------------------------------------------------------------
+# the value records: immutable, equal by their fields
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [
+    lambda: HarmonicPoly(2, {(1, 0): 1, (0, 2): Fraction(1, 3)}),
+    lambda: Spectrum(P2, 2, (0.0, 1.0), (1, 2), (0, 4)),
+    lambda: WeylModel(P1, 3, 4 * math.pi),
+    lambda: CountingSeries(((1.0, 1), (2.0, 3))),
+    lambda: BoundaryWeight(math.cos, math.sin, ((0.0, 1.0),), 0.5),
+], ids=["HarmonicPoly", "Spectrum", "WeylModel", "CountingSeries", "BoundaryWeight"])
+def test_records_are_immutable_and_equal_by_their_fields(make):
+    a, b = make(), make()
+    assert a == b and a is not b and repr(a) == repr(b) and a != object()
+    for name in type(a)._fields:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == make()
+
+
+def test_metrics_compare_by_identity_and_keep_one_read_only_array():
+    a, b = BoundaryMetric.identity(2), BoundaryMetric.identity(2)
+    assert a != b and a == a and len({a, b}) == 2
+    assert a.rows == b.rows == ((1.0, 0.0), (0.0, 1.0))
+    assert a.matrix is a.matrix and not a.matrix.flags.writeable
+    with pytest.raises(AttributeError):
+        a.rows = ((2.0, 0.0), (0.0, 2.0))
