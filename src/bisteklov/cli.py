@@ -199,6 +199,12 @@ _SETTINGS = {
 # the growth-law study needs enough eigenvalues for a decade-wide fit
 _COMMAND_DEFAULTS = {"weyl": {"m_max": 200}}
 
+# bounds that hold for one command only, in place of the setting's own.  The metric block
+# of a halfspace run is checked and evaluated in Python floats, O(n^3) and O(n^2): the bound
+# keeps a seeded run under about a second.  It is the largest n that symbol can reach, whose
+# sphere area S^(n-1) leaves the double range from n = 343 on; symbol refuses that itself
+_COMMAND_BOUNDS = {"halfspace": {"n": (lambda v: 2 <= v <= 342, "2 <= n <= 342")}}
+
 # steps of the finest finite-difference grid.  The closed-form solve costs the
 # same at any L/h, but HalfSpaceGrid checks that L is a multiple of h to 1e-9,
 # and the rounding error of L/h, about 2.2e-16 * L/h, reaches that near 2**22
@@ -236,6 +242,7 @@ def _build_config(cfg: argparse.Namespace) -> argparse.Namespace:
     settings = _settings_of(cfg.command)
     file_values = _read_config_file(cfg.config, settings) if cfg.config else {}
     command_defaults = _COMMAND_DEFAULTS.get(cfg.command, {})
+    command_bounds = _COMMAND_BOUNDS.get(cfg.command, {})
     given = []
     for field, setting in settings.items():
         value = getattr(cfg, field)
@@ -250,8 +257,9 @@ def _build_config(cfg: argparse.Namespace) -> argparse.Namespace:
                              f"got {value!r}")
         if setting.type is float and not math.isfinite(value):
             raise ValueError(f"{field} must be finite")
-        if setting.bound and not setting.bound[0](value):
-            raise ValueError(f"need {setting.bound[1]}")
+        bound = command_bounds.get(field, setting.bound)
+        if bound and not bound[0](value):
+            raise ValueError(f"need {bound[1]}")
         setattr(cfg, field, value)
     for field in given:
         if "mode" in settings and cfg.mode not in settings[field].modes:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from operator import mul
 from typing import Callable, NamedTuple
 
 from .records import Record
@@ -65,24 +64,17 @@ class WeylModel(Record):
     """Growth model for one problem kind in dimension n."""
 
     _fields = ("problem", "n", "boundary_integral", "c_lead")
-    __slots__ = (*_fields, "_plain_below", "_predicted_message", "_residual_message")
+    __slots__ = (*_fields, "_predicted_message", "_residual_message")
 
     def __init__(self, problem: ProblemKind, n: int, boundary_integral: float):
-        c_lead = weyl_leading(problem, n, boundary_integral)
-        # tau^k < 2^1024 where tau < 2^(1024 // k), as tau < 2^e for its binary exponent e:
-        # there _overflowing_power returns None, so predicted and residual skip it
-        plain_below = tuple(2.0 ** (1024 // k) if k > 1 else math.inf for k in (n - 1, n - 2))
-        predicted_message = (f"n = {n}: the predicted count C_lead tau^(n-1) leaves the "
-                             "double range")
-        residual_message = (f"n = {n}: the scaled residual (count - predicted) / tau^(n-2) "
-                            "leaves the double range")
-        for name, value in zip(self.__slots__, (problem, n, boundary_integral, c_lead,
-                                                plain_below, predicted_message, residual_message)):
-            object.__setattr__(self, name, value)
+        self._set(problem=problem, n=n, boundary_integral=boundary_integral,
+                  c_lead=weyl_leading(problem, n, boundary_integral),
+                  _predicted_message=f"n = {n}: the predicted count C_lead tau^(n-1) leaves "
+                                     "the double range",
+                  _residual_message=f"n = {n}: the scaled residual (count - predicted) / "
+                                    "tau^(n-2) leaves the double range")
 
     def predicted(self, tau: float) -> float:
-        if tau < self._plain_below[0]:  # tau^(n-1) is in range: the plain product
-            return in_double_range(mul, self._predicted_message, self.c_lead, tau ** (self.n - 1))
         return in_double_range(self._overflowing_product, self._predicted_message, tau)
 
     def _overflowing_product(self, tau: float) -> float:
@@ -100,7 +92,7 @@ class WeylModel(Record):
         gap = count - predicted
         if self.n == 2:  # tau^0 = 1
             return predicted, gap
-        power = None if tau < self._plain_below[1] else _overflowing_power(tau, self.n - 2)
+        power = _overflowing_power(tau, self.n - 2)
         if power is None:
             return predicted, gap / in_double_range(pow, self._residual_message, tau, self.n - 2)
         # tau^(n-2) overflows, the quotient need not: divide the mantissas and subtract the
@@ -126,7 +118,7 @@ class CountingSeries(Record):
             if prev_count is not None and count < prev_count:
                 raise ValueError("counts must be nondecreasing")
             prev_tau, prev_count = tau, count
-        object.__setattr__(self, "samples", samples)
+        self._set(samples=samples)
 
 
 class BoundaryWeight(Record):
@@ -146,9 +138,7 @@ class BoundaryWeight(Record):
             raise ValueError("epsilon must be nonnegative")
         if len(domain) not in (1, 2):
             raise ValueError("only 1- or 2-parameter boundaries are supported")
-        for name, value in (("rho", rho), ("area_element", area_element), ("domain", domain),
-                            ("epsilon", epsilon)):
-            object.__setattr__(self, name, value)
+        self._set(rho=rho, area_element=area_element, domain=domain, epsilon=epsilon)
 
     def rho_plus_eps(self, *params: float) -> float:
         value = self.rho(*params) + self.epsilon
@@ -284,8 +274,9 @@ def _require_ellipsoidal(symbol: HomogeneousSymbol) -> None:
 
 
 def _homogeneity_probe(symbol: HomogeneousSymbol, x) -> None:
-    dim = symbol.metric.dim
-    eta = [1.0 / math.sqrt(dim)] * dim
+    # along the first axis, where every positive definite metric has a positive form, which
+    # the symbols' quadratic form evaluates in O(1) whatever the dimension
+    eta = [1.0] + [0.0] * (symbol.metric.dim - 1)
     v1 = symbol(x, eta)
     v2 = symbol(x, [2.0 * e for e in eta])
     expected = 2.0 ** symbol.degree * v1

@@ -42,7 +42,8 @@ class MetricBlock:
     a_nn: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a_tan", BoundaryMetric(self.a_tan))
+        if not isinstance(self.a_tan, BoundaryMetric):  # a matrix: check it
+            object.__setattr__(self, "a_tan", BoundaryMetric(self.a_tan))
         if not self.a_nn > 0:
             raise ValueError("normal coefficient must be positive")
 
@@ -52,7 +53,7 @@ class MetricBlock:
 
     @staticmethod
     def identity(n: int) -> "MetricBlock":
-        return MetricBlock(np.eye(n - 1), 1.0)
+        return MetricBlock(BoundaryMetric.identity(n - 1), 1.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -74,8 +74,7 @@ class HarmonicPoly(Record):
             c = Fraction(c)
             if c:
                 _accumulate(clean, alpha, c)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+        self._set(n=n, terms=clean)
 
     def _new(self, terms: dict) -> "HarmonicPoly":
         # The operations below build ``terms`` from clean ones: exponent tuples
@@ -83,8 +82,7 @@ class HarmonicPoly(Record):
         # Integer coefficients pass through unchanged, which lets
         # verify_ball_eigenpair run on a denominator-free multiple of psi.
         poly = object.__new__(HarmonicPoly)
-        object.__setattr__(poly, "n", self.n)
-        object.__setattr__(poly, "terms", terms)
+        poly._set(n=self.n, terms=terms)
         return poly
 
     def _check_same_n(self, other: "HarmonicPoly") -> None:
@@ -387,10 +385,8 @@ class Spectrum(Record):
                 raise ValueError("exact cubes must be strictly increasing")
         except TypeError:  # None or another entry that does not compare with numbers
             raise ValueError("spectrum columns must hold numbers") from None
-        for name, value in (("problem", problem), ("n", n), ("values", values),
-                            ("mults", mults), ("cubes", cubes),
-                            ("cumulative", tuple(accumulate(mults)))):
-            object.__setattr__(self, name, value)
+        self._set(problem=problem, n=n, values=values, mults=mults, cubes=cubes,
+                  cumulative=tuple(accumulate(mults)))
 
     @property
     def entries(self) -> Sequence[SpectrumEntry]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
+from operator import mul
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from .records import Record
@@ -35,15 +36,17 @@ def _check_spd(matrix, what: str) -> tuple[tuple[float, ...], ...]:
         raise ValueError(f"{what} must be square")
     # as np.allclose(a, a.T, rtol=0, atol=1e-12): equal infinities match, a nan matches nothing
     if not all(a == b or abs(a - b) <= 1e-12
-               for j, row in enumerate(rows) for a, b in zip(row, (r[j] for r in rows))):
+               for row, column in zip(rows, zip(*rows)) for a, b in zip(row, column)):
         raise ValueError(f"{what} must be symmetric")
     factor: list[list[float]] = []  # the Cholesky factor, row by row
     for j, row in enumerate(rows):
         lower: list[float] = []
         for k in range(j):
-            lower.append((row[k] - sum(a * b for a, b in zip(factor[k], lower))) / factor[k][k])
-        pivot = row[j] - sum(x * x for x in lower)
-        if not pivot > 0:  # also refuses a nan pivot
+            lower.append((row[k] - sum(map(mul, factor[k], lower))) / factor[k][k])
+        pivot = row[j] - sum(map(mul, lower, lower))
+        # also refuses a nan pivot, and an infinite one, which only an infinite diagonal entry
+        # gives (it refuses every covector anyway): every entry of a checked metric is finite
+        if not 0 < pivot < math.inf:
             raise ValueError(f"{what} must be positive definite")
         factor.append(lower + [math.sqrt(pivot)])
     return rows
@@ -60,8 +63,10 @@ class BoundaryMetric(Record):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, matrix):
-        object.__setattr__(self, "rows", _check_spd(matrix, "metric"))
-        object.__setattr__(self, "_array", None)
+        self._set(rows=_check_spd(matrix, "metric"), _array=None)
+
+    def __getstate__(self):  # a copy builds its own read-only array when first read
+        return None, {"rows": self.rows, "_array": None}
 
     @property
     def dim(self) -> int:
@@ -74,7 +79,7 @@ class BoundaryMetric(Record):
 
             array = np.array(self.rows)
             array.flags.writeable = False
-            object.__setattr__(self, "_array", array)
+            self._set(_array=array)
         return self._array
 
     # an alias of the constructor, kept because the benchmark's workloads call it
@@ -84,7 +89,14 @@ class BoundaryMetric(Record):
 
     @staticmethod
     def identity(dim: int) -> "BoundaryMetric":
-        return BoundaryMetric([[float(j == k) for k in range(dim)] for j in range(dim)])
+        """The identity metric, positive definite by construction: built without the
+        O(dim^3) check, which refuses only its empty case."""
+        if dim < 1:
+            raise ValueError("metric must be square")
+        metric = object.__new__(BoundaryMetric)
+        metric._set(rows=tuple(tuple([float(j == k) for k in range(dim)]) for j in range(dim)),
+                    _array=None)
+        return metric
 
 
 class SolverError(RuntimeError):
@@ -120,10 +132,16 @@ def quadratic_form(metric: BoundaryMetric, eta) -> float:
 
 def _form(rows, eta: list[float]) -> float:
     """(eta' g) . eta', each sum taken from the first index, in Python floats: an overflow
-    is inf and 0 * inf is nan.  In one dimension this is numpy's eta @ g @ eta bit for bit."""
+    is inf and 0 * inf is nan.  In one dimension this is numpy's eta @ g @ eta bit for bit.
+    A zero component of eta adds only exact zeros (the entries of g are finite), so the sums
+    skip it: a covector (eta_1, 0, ..., 0) costs O(1) after the scan, in any dimension."""
+    support = [k for k, e in enumerate(eta) if e]
+    if len(support) < len(eta):
+        rows = [[rows[j][k] for k in support] for j in support]
+        eta = [eta[k] for k in support]
     form = 0.0
     for e_k, column in zip(eta, zip(*rows)):
-        form += sum([e_j * g_jk for e_j, g_jk in zip(eta, column)]) * e_k
+        form += sum(map(mul, eta, column)) * e_k
     return form
 
 

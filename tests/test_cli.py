@@ -460,8 +460,8 @@ _COUNTING_FLAGS = {
 
 # command line before the flags: {flag: (valid values, hostile values)}; no draw
 # makes a grid of more than 40 * 1000 unknowns or a spectrum past m = 2000, and a
-# count past its bound (--m-max, --samples, --points, --panels) is refused before
-# anything is allocated
+# count past its bound (--m-max, --samples, --points, --panels, halfspace's --n) is
+# refused before anything is allocated
 _FLAGS = {
     ("halfspace", "--mode=bvp"): {
         "--h": (st.floats(1 / 256, 0.5), _HOSTILE_FLOAT),
@@ -470,7 +470,7 @@ _FLAGS = {
         "--eta": (_ETA, _HOSTILE_FLOAT),
         "--seed": (st.integers(0, 5), st.just(-1)),
         "--problem": (st.sampled_from(["p1", "p2"]), st.just("harmonic")),
-        "--n": (st.integers(2, 3), _HOSTILE_INT),
+        "--n": (st.integers(2, 3), _HOSTILE_INT | st.just(343)),
     },
     ("halfspace", "--mode=kernel"): {
         "--samples": (st.integers(4, 48), _HOSTILE_INT | st.just(8193)),
@@ -769,6 +769,19 @@ def test_count_flags_are_bounded(capsys, argv, bound):
         low = cli._SETTINGS[flag[2:]].bound[1]
         assert (code, out, err) == (2, "", f"error: need {low}\n")
         assert str(bound) in low
+
+
+def test_halfspace_dimension_is_bounded(capsys):
+    # halfspace checks and evaluates its metric block in Python floats; at the bound a seeded
+    # run still finishes, past it the run is refused before a block is drawn
+    for seed in ((), ("--seed", "1")):
+        code, out, _ = run_cli(capsys, "halfspace", "--n", "342", "--levels", "1", *seed)
+        assert code == 0 and len(parse_csv(out)[1]) == 2
+    for value in ("343", "100000000"):
+        code, out, err = run_cli(capsys, "halfspace", "--n", value)
+        assert (code, out, err) == (2, "", "error: need 2 <= n <= 342\n")
+    # the bound is halfspace's alone: the other commands keep their own refusals
+    assert _config(["spectrum", "--n", "343"])["n"] == 343
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from bisteklov import (
     CountingSeries,
     HarmonicPoly,
     HomogeneousSymbol,
+    MetricBlock,
     ProblemKind,
     Spectrum,
     WeylModel,
@@ -522,6 +525,36 @@ def test_records_are_immutable_and_equal_by_their_fields(make):
         with pytest.raises(AttributeError):
             delattr(a, name)
     assert a == make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: HarmonicPoly(2, {(1, 0): 1, (0, 2): Fraction(1, 3)}),
+    lambda: Spectrum(P2, 2, (0.0, 1.0), (1, 2), (0, 4)),
+    lambda: WeylModel(P1, 3, 4 * math.pi),
+    lambda: CountingSeries(((1.0, 1), (2.0, 3))),
+    lambda: BoundaryWeight(math.cos, math.sin, ((0.0, 1.0),), 0.5),
+], ids=["HarmonicPoly", "Spectrum", "WeylModel", "CountingSeries", "BoundaryWeight"])
+def test_records_survive_pickle_and_copy(make):
+    a = make()
+    for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
+        assert b == a and type(b) is type(a) and repr(b) == repr(a)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(b, type(a)._fields[0], None)
+    if isinstance(a, Spectrum):  # its derived column comes back too
+        assert pickle.loads(pickle.dumps(a)).cumulative == a.cumulative == (1, 3)
+    if isinstance(a, WeylModel):  # and so do the slots outside _fields
+        assert copy.deepcopy(a).residual(2.0, 5) == a.residual(2.0, 5)
+
+
+def test_metrics_survive_pickle_and_copy_with_their_own_read_only_array():
+    a = BoundaryMetric.constant([[1.3, 0.4], [0.4, 0.9]])
+    a.matrix  # builds the cached array, which a copy does not share
+    for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
+        assert b.rows == a.rows and b is not a and b != a  # equal entries, compared by identity
+        assert b.matrix is not a.matrix and not b.matrix.flags.writeable
+        assert (b.matrix == a.matrix).all()
+    block = MetricBlock(a, 2.0)
+    assert pickle.loads(pickle.dumps(block)).a_tan.rows == a.rows
 
 
 def test_metrics_compare_by_identity_and_keep_one_read_only_array():

@@ -94,6 +94,51 @@ def test_metric_validation():
         BoundaryMetric([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
+def test_metric_with_an_infinite_entry_is_refused():
+    # an infinite diagonal entry passed numpy's Cholesky, then gave every covector an
+    # infinite or nan form; now every entry of a checked metric is finite
+    for matrix in ([[math.inf]], [[1.0, 0.0], [0.0, math.inf]], [[1.0, math.inf], [math.inf, 1.0]]):
+        with pytest.raises(ValueError, match="positive definite"):
+            BoundaryMetric.constant(matrix)
+
+
+def test_identity_metric_is_the_checked_identity_without_the_check(monkeypatch):
+    calls = []
+    check = symbols._check_spd
+    monkeypatch.setattr(symbols, "_check_spd", lambda *a: calls.append(a) or check(*a))
+    for dim in (1, 2, 5):
+        assert BoundaryMetric.identity(dim).rows == BoundaryMetric.constant(np.eye(dim)).rows
+    assert len(calls) == 3
+    with pytest.raises(ValueError, match="square"):
+        BoundaryMetric.identity(0)
+
+
+def _dense_form(rows, eta):
+    # every term of (eta' g) . eta', each sum from the first index, zero components included
+    form = 0.0
+    for e_k, column in zip(eta, zip(*rows)):
+        form += sum([e_j * g_jk for e_j, g_jk in zip(eta, column)]) * e_k
+    return form
+
+
+@given(st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_form_skips_zero_components_bit_for_bit(dim, seed):
+    # a zero component adds only exact zeros, so the sums skip it: the form keeps its bits,
+    # signed zeros, overflow and non-finite covectors included
+    rng = np.random.default_rng(seed)
+    metric = BoundaryMetric.constant(random_spd(rng, dim) * 10.0 ** rng.integers(-150, 150))
+    eta = rng.normal(size=dim) * 10.0 ** rng.integers(-160, 160, size=dim)
+    for k in range(dim):
+        eta[k] = rng.choice([eta[k], eta[k], 0.0, -0.0, math.inf, math.nan])
+    eta = [float(e) for e in eta]
+    sparse, dense = symbols._form(metric.rows, eta), _dense_form(metric.rows, eta)
+    if all(map(math.isfinite, eta)):
+        assert sparse.hex() == dense.hex(), (eta, sparse, dense)
+    else:  # both refused by quadratic_form
+        assert not math.isfinite(sparse) and not math.isfinite(dense), (eta, sparse, dense)
+
+
 def test_metric_is_checked_once(monkeypatch):
     calls = []
     check = symbols._check_spd
