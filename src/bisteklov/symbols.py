@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def _check_spd(matrix, what: str) -> tuple[tuple[float, ...], ...]:
     """The rows of ``matrix`` as tuples of floats, checked square, symmetric (to 1e-12)
-    and positive definite: every pivot of its Cholesky factorisation is positive.
+    and positive definite: every pivot of its Cholesky factorisation is positive and finite.
     ``what`` names it in the error."""
     try:
         rows = tuple(tuple([float(v) for v in row]) for row in matrix)
@@ -89,8 +89,8 @@ class BoundaryMetric(Record):
 
     @staticmethod
     def identity(dim: int) -> "BoundaryMetric":
-        """The identity metric, positive definite by construction: built without the
-        O(dim^3) check, which refuses only its empty case."""
+        """The identity metric, positive definite by construction, so built without the
+        O(dim^3) check; dim < 1 is refused as the check would refuse it."""
         if dim < 1:
             raise ValueError("metric must be square")
         metric = object.__new__(BoundaryMetric)
