@@ -44,8 +44,8 @@ class MetricBlock:
     def __post_init__(self):
         if not isinstance(self.a_tan, BoundaryMetric):  # a matrix: check it
             object.__setattr__(self, "a_tan", BoundaryMetric(self.a_tan))
-        if not self.a_nn > 0:
-            raise ValueError("normal coefficient must be positive")
+        if not 0 < self.a_nn < math.inf:  # a NaN or inf fails here, not at every later use
+            raise ValueError("normal coefficient must be positive and finite")
 
     @property
     def dim(self) -> int:
@@ -97,12 +97,17 @@ def xi_norm(A: MetricBlock, eta) -> float:
 # exact Fourier-side solutions
 # ---------------------------------------------------------------------------
 
+def _heights(x_n) -> np.ndarray:
+    x_n = np.asarray(x_n, dtype=float)
+    if not ((x_n >= 0) & (x_n < math.inf)).all():  # NaN fails both
+        raise ValueError("x_n must be finite and nonnegative")
+    return x_n
+
+
 def fourier_solution_p1(A: MetricBlock, datum: FourierDatum, x_n):
     """Bounded profile with zero trace and unit conormal derivative
     sqrt(a_nn) u'(0) = 1: (1 / sqrt(a_nn)) * x_n * exp(-|xi'| x_n)."""
-    x_n = np.asarray(x_n, dtype=float)
-    if np.any(x_n < 0):
-        raise ValueError("x_n must be nonnegative")
+    x_n = _heights(x_n)
     k = xi_norm(A, datum.eta)
     return 1.0 / math.sqrt(A.a_nn) * x_n * np.exp(-k * x_n)
 
@@ -110,9 +115,7 @@ def fourier_solution_p1(A: MetricBlock, datum: FourierDatum, x_n):
 def fourier_solution_p2(A: MetricBlock, datum: FourierDatum, x_n):
     """Bounded profile with unit trace and zero normal derivative:
     exp(-|xi'| x_n) * (1 + |xi'| x_n)."""
-    x_n = np.asarray(x_n, dtype=float)
-    if np.any(x_n < 0):
-        raise ValueError("x_n must be nonnegative")
+    x_n = _heights(x_n)
     k = xi_norm(A, datum.eta)
     return np.exp(-k * x_n) * (1.0 + k * x_n)
 
@@ -253,25 +256,42 @@ def _sphere_rule(A: MetricBlock, quad_points: int | None) -> tuple[np.ndarray, f
 
 def _kernel_values(A: MetricBlock, which: str, x: np.ndarray, x_n,
                    quad_points: int | None = None):
-    """K1 or K2 at boundary offsets ``x`` (shape S + (n-1,)) and heights ``x_n``
-    (broadcastable to S) by one sphere rule: the directions +-1 with weight 1 for n = 2,
-    ``quad_points`` equispaced circle directions with weight 2 pi/quad_points
-    for n = 3.  Raises SolverError on a non-finite value or an imaginary part
-    above 1e-10.  A Python number ``x_n`` is checked as a float, and gives a scalar."""
+    """K1 or K2 at boundary offsets ``x`` and heights ``x_n`` (broadcastable to S) by one
+    sphere rule.  For n = 2 ``x`` holds the offsets themselves (shape S) and the rule is
+    the directions +-1 with weight 1, each one contiguous S-shaped plane; for n = 3 ``x``
+    has shape S + (2,) and the rule is ``quad_points`` equispaced circle directions with
+    weight 2 pi/quad_points along a trailing axis.  Raises SolverError on a non-finite
+    value or an imaginary part above 1e-10.  A Python number ``x_n`` is checked as a
+    float, and for n = 3 gives a scalar."""
     n = A.dim
     scalar = isinstance(x_n, (int, float))
-    x_n = float(x_n) if scalar else np.asarray(x_n, dtype=float)[..., None]
+    x_n = float(x_n) if scalar else np.asarray(x_n, dtype=float)
     if not (x_n > 0 if scalar else (x_n > 0).all()):
         raise ValueError("kernels are singular at the boundary: need x_n > 0")
     dirs, weight, q = _sphere_rule(A, quad_points if n == 3 else None)
-    xq = x_n * q
-    r = 1.0 / (x @ dirs.T + 1j * xq)
-    if which == "K2":
-        integrand = x_n / math.sqrt(A.a_nn) * r ** (n - 1)
+    if n == 2:
+        # the products of the rule below with their operands in the same order, one plane
+        # per direction (both norms are q[0]), added as its sum over the direction axis adds
+        # them: 0.0 + first + second.  numpy's complex product fuses a multiply-add, so
+        # r * u and u * r differ in the last bit, and for a temporary u of 256 KB or more
+        # the operator r * u computes u * r in place: hence np.multiply
+        iq, integrand = 1j * (x_n * q[0]), 0.0
+        scalar = False  # a plane is an array, also for one offset
+        for offset in (x, -x):
+            r = 1.0 / (offset + iq)
+            integrand = integrand + (x_n / math.sqrt(A.a_nn) * r if which == "K2"
+                                     else np.multiply(r, 1.0 + iq * r))
     else:
-        integrand = r ** (n - 1) * (1.0 + (n - 1) * 1j * xq * r)
+        x_n = x_n if scalar else x_n[..., None]
+        xq = x_n * q
+        r = 1.0 / (x @ dirs.T + 1j * xq)
+        if which == "K2":
+            integrand = x_n / math.sqrt(A.a_nn) * r ** (n - 1)
+        else:
+            integrand = r ** (n - 1) * (1.0 + (n - 1) * 1j * xq * r)
+        integrand = integrand.sum(axis=-1)
     prefactor = (-1.0) ** (n - 1) * math.factorial(n - 2) / (2.0j * math.pi) ** (n - 1)
-    value = prefactor * weight * integrand.sum(axis=-1)
+    value = prefactor * weight * integrand
     if not (math.isfinite(value.real) and math.isfinite(value.imag) if scalar
             else np.isfinite(value).all()):
         raise SolverError("kernel integral is not finite")
@@ -301,35 +321,44 @@ def kernel_K(A: MetricBlock, which: str, x, x_n: float, quad_points: int = 256) 
         raise ValueError(f"boundary point must have {n - 1} components")
     if n == 3 and (quad_points < 4 or quad_points % 2):
         raise ValueError("need an even quad_points >= 4")
-    return float(_kernel_values(A, which, x, x_n, quad_points))
+    value = _kernel_values(A, which, x, x_n, quad_points)
+    # n = 2 takes its one offset as a one-element plane: numpy's scalar arithmetic rounds
+    # differently from its array loops
+    return float(value[0] if n == 2 else value)
 
 
 # ---------------------------------------------------------------------------
 # boundary-data solves: kernel convolution vs Fourier synthesis
 # ---------------------------------------------------------------------------
 
-def _check_boundary_data(y: np.ndarray, phi: np.ndarray, h: np.ndarray, points):
+def _check_boundary_data(y, phi, h, points):
+    """The sample grid, the data (an absent datum stays None), the grid step and the
+    (x', x_n) points as a (points, 2) array, checked; ValueError otherwise."""
     y = np.asarray(y, dtype=float)
-    phi = np.zeros_like(y) if phi is None else np.asarray(phi, dtype=float)
-    h = np.zeros_like(y) if h is None else np.asarray(h, dtype=float)
+    phi, h = (None if d is None else np.asarray(d, dtype=float) for d in (phi, h))
     if y.ndim != 1 or y.size < 4:
         raise ValueError("need a 1-d sample grid with at least 4 points")
-    if phi.shape != y.shape or h.shape != y.shape:
+    if any(d is not None and d.shape != y.shape for d in (phi, h)):
         raise ValueError("data arrays must match the sample grid")
-    dy = np.diff(y)
+    dy = y[1:] - y[:-1]
     # np.allclose(dy, dy[0], rtol=1e-12, atol=0.0) in one reduction, without all-inf steps
     if not (0 < dy[0] < math.inf and np.abs(dy - dy[0]).max() <= 1e-12 * dy[0]):
         raise ValueError("sample grid must be uniform and increasing")
-    for name, data in (("phi", phi), ("h", h)):
-        if max(abs(data[0]), abs(data[-1])) > 1e-12:
+    for name, d in (("phi", phi), ("h", h)):
+        if d is not None and max(abs(d[0]), abs(d[-1])) > 1e-12:
             raise ValueError(f"support violation: {name} is nonzero at the window edge")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("evaluation points must be finite")
+    for name, d in (("phi", phi), ("h", h)):  # a NaN sample made both routes return NaN
+        if d is not None and not np.isfinite(d).all():
+            raise ValueError(f"{name} must be finite")
     return y, phi, h, float(dy[0]), pts
 
 
-_KERNEL_BLOCK = 1 << 16  # (point, sample) pairs per kernel evaluation block
+# (point, sample) pairs per kernel evaluation block: each temporary is one complex
+# (points, columns) array per sphere direction, 1 MB
+_KERNEL_BLOCK = 1 << 16
 _MIN_XN = 1e-3  # lowest evaluation height, kept away from the kernel singularity
 
 
@@ -349,14 +378,13 @@ def solve_by_kernel(A: MetricBlock, y, phi, h, points) -> np.ndarray:
         raise ValueError(f"evaluation points need x_n >= {_MIN_XN}")
     out = np.zeros(pts.shape[0])
     for which, data in (("K1", phi), ("K2", h)):
-        cols = np.flatnonzero(data)  # only the columns the data reaches
-        if not cols.size:
+        if data is None or not (cols := np.flatnonzero(data)).size:  # the columns data reaches
             continue
-        # blocks of points keep each (points, columns, directions) temporary near 2 MB
+        # blocks of points keep each (points, columns) temporary, one per direction, near 1 MB
         rows = max(1, _KERNEL_BLOCK // cols.size)
         for start in range(0, pts.shape[0], rows):
             block = pts[start:start + rows]
-            offsets = (block[:, 0, None] - y[cols])[..., None]
+            offsets = block[:, 0, None] - y[cols]
             out[start:start + rows] += (
                 _kernel_values(A, which, offsets, block[:, 1, None]) @ data[cols])
     return out * dy
@@ -463,6 +491,13 @@ def fourier_synthesis(A: MetricBlock, y, phi, h, points, eta_points: int = 8193)
     ``y`` is taken as exactly uniform, its step from its ends; steps that differ
     by the relative 1e-12 the input check allows shift the transform by up to
     about 40 * (y[-1] - y[0]) * 1e-12.
+
+    The profile exp(-eta r x_n), r = |xi'| at the unit covector, decays over 1 / (r x_n)
+    in eta, so the nodes resolve it only while deta * r * x_n is small.  On the README's
+    Gaussian (identity block, deta = 80/8192) the gap to the kernel route grows from
+    4.5e-6 at x_n = 1 (deta r x_n = 0.01) to 1.1e-4 at 5, 1.1e-2 at 50 and 4.6e-2 at 102
+    (0.17 at 200).  A point with deta * r * x_n > 1, fewer than one node per decay
+    length, raises AdequacyError.
     """
     if A.dim != 2:
         raise ValueError("fourier synthesis is implemented for the half-plane")
@@ -475,11 +510,18 @@ def fourier_synthesis(A: MetricBlock, y, phi, h, points, eta_points: int = 8193)
     deta, etas, w = _half_spectrum(eta_points)
     if np.any(np.abs(pts[:, 0] - 0.5 * (y[0] + y[-1])) >= math.pi / deta):
         raise ValueError(f"aliasing: need |x' - window middle| < pi / deta = {math.pi / deta:.6g}")
+    r = xi_norm(A, [1.0])
+    unresolved = deta * r * pts[:, 1].max(initial=0.0)
+    if unresolved > 1.0:
+        raise AdequacyError(f"the eta grid cannot resolve x_n: need deta * |xi'| * x_n <= 1, "
+                            f"got {unresolved:.3g}")
 
     tables = _fourier_tables(y.size, y[[0, (y.size - 1) // 2, -1]].tobytes(), eta_points)
-    phi_hat, h_hat = (dy * _chirp_z(d, tables) if d.any() else 0.0 for d in (phi, h))
-    r = xi_norm(A, [1.0])
-    ab = np.stack([w * phi_hat, w * (h_hat / math.sqrt(A.a_nn) + r * etas * phi_hat)], axis=1)
+    phi_hat, h_hat = (dy * _chirp_z(d, tables) if d is not None and d.any() else 0.0
+                      for d in (phi, h))
+    ab = np.empty((etas.size, 2), dtype=complex)  # row k: the (a, b) pair of node k
+    np.multiply(w, phi_hat, out=ab[:, 0])
+    np.multiply(w, h_hat / math.sqrt(A.a_nn) + r * etas * phi_hat, out=ab[:, 1])
     ab = ab.reshape(-1, 128)  # row o: the (a, b) pairs of the nodes 64 o + j
 
     z = pts[:, 0] + 1j * r * pts[:, 1]

@@ -373,6 +373,16 @@ def test_kernel_mode_window_just_inside_the_alias_bound(capsys):
     assert header == ["x", "kernel", "fourier", "abs_error"] and float(rows[0][0]) == -321.695
 
 
+@pytest.mark.parametrize("xn", ["103", "1e308"])
+def test_kernel_mode_refuses_heights_the_fourier_nodes_cannot_resolve_exit_2(capsys, xn):
+    # deta = 80/8192 leaves fewer than one node per decay length of exp(-eta x_n) past
+    # x_n = 102.4; at 1e308 the Fourier column read 2.75e305 with exit 0
+    code, out, err = run_cli(capsys, "halfspace", "--mode", "kernel", "--samples", "16", "--xn", xn)
+    assert code == 2 and out == "" and "cannot resolve x_n" in err
+    code, _, _ = run_cli(capsys, "halfspace", "--mode", "kernel", "--samples", "16", "--xn", "102")
+    assert code == 0
+
+
 @pytest.mark.parametrize("argv, message", [
     # 1 / (2^(n-2) (n-1)!) is subnormal from n = 152 on, and the check runs n = 2, 3, ...
     ("identity-check --n 172", "n = 152 is too large: 1 / (2^(n-2) (n-1)!)"),

@@ -64,6 +64,14 @@ def test_metric_block_validation():
         MetricBlock(np.array([[1.0, 0.1], [0.2, 1.0]]), 1.0)
 
 
+@pytest.mark.parametrize("a_nn", [math.inf, math.nan])
+def test_metric_block_refuses_a_non_finite_normal_coefficient(a_nn):
+    # an infinite a_nn was accepted, and every later use failed with "covector must be
+    # nonzero and finite"
+    with pytest.raises(ValueError, match="normal coefficient must be positive and finite"):
+        MetricBlock(np.eye(1), a_nn)
+
+
 def test_metric_block_keeps_a_private_read_only_metric():
     m = np.array([[2.0, 0.5], [0.5, 1.0]])
     block = MetricBlock(m, 1.0)
@@ -111,6 +119,14 @@ def test_profile_boundary_values_exact():
     assert fourier_solution_p2(A, datum, 0.0) == 1.0
     with pytest.raises(ValueError):
         fourier_solution_p1(A, datum, -0.5)
+
+
+@pytest.mark.parametrize("x_n", [math.nan, math.inf, [0.5, math.nan]], ids=["nan", "inf", "array"])
+@pytest.mark.parametrize("profile", [fourier_solution_p1, fourier_solution_p2])
+def test_profiles_refuse_non_finite_heights(profile, x_n):
+    # a NaN height gave NaN, an infinite one NaN and a RuntimeWarning, where the limit is 0
+    with pytest.raises(ValueError, match="x_n must be finite and nonnegative"):
+        profile(MetricBlock.identity(2), FourierDatum([1.0]), x_n)
 
 
 def test_profile_derivatives_by_finite_differences():
@@ -393,6 +409,72 @@ def test_kernel_non_finite_value_is_a_solver_error(which, x, x_n):
         kernel_K(MetricBlock.identity(2), which, x, x_n)
 
 
+def _axis_kernel(A, which, x, x_n):
+    # the n = 2 rule along a trailing direction axis of length 2, by the matmul x @ dirs.T,
+    # as the kernels were evaluated before each direction got a plane of its own: x has
+    # shape S + (1,), x_n is a float or broadcasts against S + (2,); the unchecked complex
+    # value
+    n = 2
+    dirs, weight, q = _sphere_rule(A, None)
+    xq = x_n * q
+    r = 1.0 / (x @ dirs.T + 1j * xq)
+    if which == "K2":
+        integrand = x_n / math.sqrt(A.a_nn) * r ** (n - 1)
+    else:
+        integrand = r ** (n - 1) * (1.0 + (n - 1) * 1j * xq * r)
+    prefactor = (-1.0) ** (n - 1) * math.factorial(n - 2) / (2.0j * math.pi) ** (n - 1)
+    return prefactor * weight * integrand.sum(axis=-1)
+
+
+def _spd_block(rng):
+    return MetricBlock(np.array([[rng.uniform(0.1, 10.0)]]), float(rng.uniform(0.1, 10.0)))
+
+
+_EDGE_OFFSETS = [0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300]
+_HEIGHTS = np.geomspace(1e-3, 1e5, 9).tolist()
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("which", ["K1", "K2"])
+def test_kernel_k_planes_equal_the_direction_axis(seed, which):
+    # scalar n = 2 calls: bit for bit, and refused exactly where the old value was not
+    # finite or not real
+    rng = np.random.default_rng(seed)
+    A = _spd_block(rng)
+    offsets = _EDGE_OFFSETS + (rng.normal(size=12) * 10.0 ** rng.uniform(-3, 3, 12)).tolist()
+    for xp in offsets:
+        for xn in _HEIGHTS:
+            ref = _axis_kernel(A, which, np.array([xp]), xn)
+            if math.isfinite(ref.real) and math.isfinite(ref.imag) and abs(ref.imag) <= 1e-10:
+                assert kernel_K(A, which, xp, xn).hex() == float(ref.real).hex(), (xp, xn)
+            else:
+                with pytest.raises(SolverError):
+                    kernel_K(A, which, xp, xn)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_by_kernel_planes_equal_the_direction_axis(seed):
+    # y[128] is 0.0, so points on the samples give offsets 0.0 and -0.0 (x' = -0.0); the
+    # first 20, the first 40 and all 95 points span blocks of (points, samples) pairs on
+    # either side of 8 192 and 16 384, where numpy starts to reuse temporaries of the old
+    # and of the new layout in place
+    rng = np.random.default_rng(seed)
+    A = _spd_block(rng)
+    y = np.linspace(-15.0, 15.0, 257)
+    phi = np.exp(-((y - rng.uniform(-2.0, 2.0)) ** 2))
+    h = np.exp(-((y - rng.uniform(-2.0, 2.0)) ** 2)) * rng.normal()
+    xs = ([float(v) for v in rng.choice(y, 6)] + [-0.0] + _EDGE_OFFSETS
+          + (rng.normal(size=6) * 5.0).tolist())
+    pts = np.array([(xp, xn) for xp in xs for xn in _HEIGHTS[::2]])
+    for count in (20, 40, len(pts)):
+        expected = np.zeros(count)
+        for which, data in (("K1", phi), ("K2", h)):
+            offsets = (pts[:count, 0, None] - y)[..., None]
+            expected += _axis_kernel(A, which, offsets, pts[:count, 1, None, None]).real @ data
+        expected *= y[1] - y[0]
+        assert solve_by_kernel(A, y, phi, h, pts[:count]).tobytes() == expected.tobytes(), count
+
+
 def _k2_bilaplacian_residual(h):
     # max over a fixed interior box so the h-ladder compares like with like
     A = MetricBlock.identity(2)
@@ -602,11 +684,12 @@ def test_fourier_synthesis_equals_full_grid_sum(eta_points, use_phi, use_h):
 
 def test_fourier_synthesis_of_two_frequency_nodes():
     # eta_points = 2 leaves the single half-grid node eta_max; a narrow pulse
-    # keeps its transform there well above rounding
+    # keeps its transform there well above rounding, and heights up to 1 / deta = 1/80
+    # keep the points resolved
     A = MetricBlock.identity(2)
     y = np.linspace(-2.0, 2.0, 401)
     data = np.exp(-((y / 0.05) ** 2))
-    pts = [(0.0, 0.05), (0.02, 0.1)]
+    pts = [(0.0, 0.005), (0.02, 0.0125)]
     got = fourier_synthesis(A, y, data, data, pts, eta_points=2)
     expected = _full_grid_synthesis(A, y, data, data, pts, 40.0, 2)
     assert np.all(np.abs(got) > 1e-3)
@@ -649,6 +732,31 @@ def test_boundary_solves_refuse_non_finite_points(route, point):
     data = np.exp(-(y**2))
     with pytest.raises(ValueError, match="evaluation points must be finite"):
         route(A, y, data, data, [(0.0, 1.0), point])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("datum", ["phi", "h"])
+@pytest.mark.parametrize("route", [solve_by_kernel, fourier_synthesis])
+def test_boundary_solves_refuse_non_finite_data(route, datum, bad):
+    # a NaN sample made both routes return NaN; an infinite one gave inf from the kernel
+    # route and NaN from the Fourier route
+    y = np.linspace(-6.0, 6.0, 32)
+    data = {"phi": np.exp(-(y**2)), "h": np.exp(-(y**2))}
+    data[datum][10] = bad
+    with pytest.raises(ValueError, match=f"^{datum} must be finite"):
+        route(MetricBlock.identity(2), y, data["phi"], data["h"], [(0.0, 1.0)])
+
+
+def test_fourier_synthesis_refuses_heights_its_grid_cannot_resolve():
+    # deta * r * x_n > 1 leaves fewer than one node per decay length of exp(-eta r x_n):
+    # here deta = 80/8192 and r = 2, so the bound is x_n = 51.2
+    A = MetricBlock(np.array([[2.0]]), 0.5)
+    y = np.linspace(-6.0, 6.0, 32)
+    data = np.exp(-(y**2))
+    assert np.isfinite(fourier_synthesis(A, y, None, data, [(0.0, 1.0), (0.0, 51.1)])).all()
+    for xn in (51.3, 1e308):
+        with pytest.raises(AdequacyError, match="cannot resolve x_n"):
+            fourier_synthesis(A, y, None, data, [(0.0, 1.0), (0.0, xn)])
 
 
 def test_fourier_synthesis_memory_stays_linear():
