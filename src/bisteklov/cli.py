@@ -185,7 +185,7 @@ _SETTINGS = {
                        modes=_BVP),
     "points": _Setting(int, 72, ("symbol",),
                        (lambda v: 1 <= v <= 100_000, "1 <= points <= 100000")),
-    # kernel mode is quadratic in the samples, about 3 s at the bound; past about 9 000
+    # kernel mode is quadratic in the samples, about 2.5 s at the bound; past about 9 000
     # samples the rounding of the sample grid fails its 1e-12 uniformity check anyway
     "samples": _Setting(int, 128, ("halfspace",),
                         (lambda v: 4 <= v <= 8192, "4 <= samples <= 8192"), modes=_KERNEL),

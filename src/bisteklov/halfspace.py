@@ -350,7 +350,8 @@ def _check_boundary_data(y, phi, h, points):
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if not np.isfinite(pts).all():
         raise ValueError("evaluation points must be finite")
-    for name, d in (("phi", phi), ("h", h)):  # a NaN sample made both routes return NaN
+    # after the points check, so that a call failing both keeps the points message
+    for name, d in (("phi", phi), ("h", h)):
         if d is not None and not np.isfinite(d).all():
             raise ValueError(f"{name} must be finite")
     return y, phi, h, float(dy[0]), pts
