@@ -25,20 +25,30 @@ from .spectra import ProblemKind
 # ---------------------------------------------------------------------------
 
 class WeightExpr:
-    """Tiny arithmetic expression over the boundary parameter."""
+    """Tiny arithmetic expression over the boundary parameter, compiled once into ``fn(t)``."""
 
-    # nesting of parentheses, calls, unary minus and binary operators; deeper
-    # input would hit Python's recursion limit in the parser or in the closures
+    # nesting of parentheses, calls, unary minus and binary operators; deeper input would hit
+    # Python's recursion limit in the parser or the compiler's limits (200 nested parentheses;
+    # about 3 000 tree levels, which chains nested in chains can pass, and are then refused)
     MAX_DEPTH = 100
+    _TOO_DEEP = f"weight expression nested deeper than {MAX_DEPTH} levels"
 
     def __init__(self, text: str):
         self.text = text
         self._uses_param = False
         self._tokens = self._tokenize(text)
         self._pos = 0
-        self.fn = self._parse_expr()
+        self._constants: dict[str, float] = {}
+        source = self._parse_expr()
         if self._pos != len(self._tokens):
             raise ValueError(f"trailing input in weight expression: {text!r}")
+        # the grammar's precedence and associativity are Python's, so ``fn`` does the parse
+        # tree's IEEE operations in its order; constants are bound by name, so nan stays a float
+        names = {**self._constants, "cos": math.cos, "sin": math.sin, "pi": math.pi}
+        try:
+            self.fn = eval("lambda t: " + source, {**names, "__builtins__": {}})
+        except RecursionError:
+            raise ValueError(self._TOO_DEEP) from None
 
     @property
     def is_constant(self) -> bool:
@@ -81,61 +91,50 @@ class WeightExpr:
         self._pos += 1
         return tok
 
-    def _parse_expr(self, depth: int = 0) -> Callable[[float], float]:
-        value = self._parse_term(depth)
+    def _parse_expr(self, depth: int = 0) -> str:
+        source = self._parse_term(depth)
         while self._peek() in ("+", "-"):
             op = self._take()
-            depth = self._deeper(depth)  # each operator nests the closure once more
-            rhs = self._parse_term(depth)
-            lhs = value
-            value = ((lambda t, a=lhs, b=rhs: a(t) + b(t)) if op == "+"
-                     else (lambda t, a=lhs, b=rhs: a(t) - b(t)))
-        return value
+            depth = self._deeper(depth)  # each operator nests the parse tree once more
+            source += op + self._parse_term(depth)
+        return source
 
-    def _parse_term(self, depth: int) -> Callable[[float], float]:
-        value = self._parse_unary(depth)
+    def _parse_term(self, depth: int) -> str:
+        source = self._parse_unary(depth)
         while self._peek() == "*":
             self._take()
             depth = self._deeper(depth)
-            rhs = self._parse_unary(depth)
-            lhs = value
-            value = lambda t, a=lhs, b=rhs: a(t) * b(t)
-        return value
+            source += "*" + self._parse_unary(depth)
+        return source
 
     def _deeper(self, depth: int) -> int:
         if depth >= self.MAX_DEPTH:
-            raise ValueError(f"weight expression nested deeper than {self.MAX_DEPTH} levels")
+            raise ValueError(self._TOO_DEEP)
         return depth + 1
 
-    def _parse_unary(self, depth: int) -> Callable[[float], float]:
+    def _parse_unary(self, depth: int) -> str:
         if self._peek() == "-":
             self._take()
-            inner = self._parse_unary(self._deeper(depth))
-            return lambda t, a=inner: -a(t)
+            return "-" + self._parse_unary(self._deeper(depth))
         return self._parse_atom(depth)
 
-    def _parse_atom(self, depth: int) -> Callable[[float], float]:
+    def _parse_atom(self, depth: int) -> str:
         tok = self._take()
-        if tok == "(":
-            inner = self._parse_expr(self._deeper(depth))
-            self._take(")")
-            return inner
+        if tok in ("cos", "sin"):
+            tok += self._take("(")
+        if tok in ("(", "cos(", "sin("):
+            return tok + self._parse_expr(self._deeper(depth)) + self._take(")")
         if tok in ("t", "theta"):
             self._uses_param = True
-            return lambda t: t
+            return "t"
         if tok == "pi":
-            return lambda t: math.pi
-        if tok in ("cos", "sin"):
-            self._take("(")
-            inner = self._parse_expr(self._deeper(depth))
-            self._take(")")
-            f = math.cos if tok == "cos" else math.sin
-            return lambda t, a=inner, f=f: f(a(t))
+            return tok
+        name = f"c{len(self._constants)}"
         try:
-            value = float(tok)
+            self._constants[name] = float(tok)
         except ValueError:
             raise ValueError(f"unknown token {tok!r} in weight expression") from None
-        return lambda t: value
+        return name
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,11 @@ _PRINCIPAL = {
     ProblemKind.DIRICHLET_TRACE: (3.0, 2.0),
     ProblemKind.HARMONIC_STEKLOV: (1.0, 1.0),
 }
+# each problem's two refusals, the weight's and the value's, formatted once
+_REFUSALS = {problem: (f"weight out of range: {coeff:g} / rho^{degree:g} leaves the double range",
+                       f"symbol out of range: {coeff:g} q^{degree / 2:g} / rho^{degree:g} "
+                       "leaves the double range")
+             for problem, (degree, coeff) in _PRINCIPAL.items()}
 
 
 def principal(problem: ProblemKind) -> tuple[float, float]:
@@ -188,10 +193,8 @@ def steklov_symbol(problem: ProblemKind, metric: BoundaryMetric,
     """The problem's principal symbol coeff * q^(degree/2) / rho^degree under the
     weight rho + epsilon; ``weight=None`` means rho = 1, the unweighted symbol."""
     degree, coeff = principal(problem)
+    weight_message, value_message = _REFUSALS[ProblemKind(problem)]
     rho = (lambda x: 1.0) if weight is None else weight.rho_plus_eps
-    weight_message = f"weight out of range: {coeff:g} / rho^{degree:g} leaves the double range"
-    value_message = (f"symbol out of range: {coeff:g} q^{degree / 2:g} / rho^{degree:g} "
-                     "leaves the double range")
 
     def weighted(r: float) -> float:
         return in_double_range(lambda: coeff / r ** degree, weight_message)

@@ -58,7 +58,7 @@ def test_weight_expr_deep_nesting_is_a_validation_error(capsys):
             WeightExpr(deep)
     code, _, err = run_cli(capsys, "symbol", "--rho", "(" * 3000 + "1" + ")" * 3000)
     assert code == 2 and "nested deeper" in err
-    # each binary operator nests the evaluation closures one level deeper
+    # each binary operator nests the parse tree one level deeper
     for chain in ("+".join(["1"] * 3000), "*".join(["1"] * 3000)):
         with pytest.raises(ValueError, match="nested deeper"):
             WeightExpr(chain)
@@ -73,6 +73,150 @@ def test_weight_expr_rejects_garbage():
     for bad in ("2 +", "cos()", "foo(t)", "1 $ 2", "(1", "2 / 3"):
         with pytest.raises(ValueError):
             WeightExpr(bad)
+
+
+class _ClosureTree(WeightExpr):
+    """The reference evaluator: WeightExpr's grammar and refusals, evaluated through one
+    closure per node of the parse tree, as the package did before it compiled expressions."""
+
+    def __init__(self, text):
+        self.text, self._uses_param, self._tokens, self._pos = text, False, self._tokenize(text), 0
+        self.fn = self._parse_expr()
+        if self._pos != len(self._tokens):
+            raise ValueError(f"trailing input in weight expression: {text!r}")
+
+    def _parse_expr(self, depth=0):
+        value = self._parse_term(depth)
+        while self._peek() in ("+", "-"):
+            op = self._take()
+            depth = self._deeper(depth)
+            rhs = self._parse_term(depth)
+            lhs = value
+            value = ((lambda t, a=lhs, b=rhs: a(t) + b(t)) if op == "+"
+                     else (lambda t, a=lhs, b=rhs: a(t) - b(t)))
+        return value
+
+    def _parse_term(self, depth):
+        value = self._parse_unary(depth)
+        while self._peek() == "*":
+            self._take()
+            depth = self._deeper(depth)
+            rhs = self._parse_unary(depth)
+            lhs = value
+            value = lambda t, a=lhs, b=rhs: a(t) * b(t)
+        return value
+
+    def _parse_unary(self, depth):
+        if self._peek() == "-":
+            self._take()
+            inner = self._parse_unary(self._deeper(depth))
+            return lambda t, a=inner: -a(t)
+        return self._parse_atom(depth)
+
+    def _parse_atom(self, depth):
+        tok = self._take()
+        if tok == "(":
+            inner = self._parse_expr(self._deeper(depth))
+            self._take(")")
+            return inner
+        if tok in ("t", "theta"):
+            self._uses_param = True
+            return lambda t: t
+        if tok == "pi":
+            return lambda t: math.pi
+        if tok in ("cos", "sin"):
+            self._take("(")
+            inner = self._parse_expr(self._deeper(depth))
+            self._take(")")
+            f = math.cos if tok == "cos" else math.sin
+            return lambda t, a=inner, f=f: f(a(t))
+        try:
+            value = float(tok)
+        except ValueError:
+            raise ValueError(f"unknown token {tok!r} in weight expression") from None
+        return lambda t: value
+
+
+def _outcome(fn, t):
+    """float.hex of fn(t), which shows every bit of a number and any NaN as 'nan', or the
+    type of what it raised.  A NaN's sign is not compared: where both operands are NaN it
+    depends on whether the interpreter has specialised the operation, so the closure tree
+    itself gives either sign for the same sample, cold or warm."""
+    try:
+        return float.hex(fn(t))
+    except Exception as exc:
+        return type(exc)
+
+
+_MAX = WeightExpr.MAX_DEPTH
+
+
+def _nested(depth):
+    """A weight nested ``depth`` deep in each construct: parentheses, unary minus, ``cos(``,
+    and chains of +, - and *."""
+    return ["(" * depth + "2" + ")" * depth, "-" * depth + "2", "cos(" * depth + "t" + ")" * depth,
+            *(op.join(["1"] * (depth + 1)) for op in "+-*")]
+
+
+def _chain_of_chains():
+    """Chains of + each on the parenthesized first operand of the next, every one within the
+    bound, whose parse tree is about 5 000 levels deep."""
+    text = "t"
+    for ops in range(1, _MAX):
+        text = f"({text})" + "+1" * ops
+    return text
+
+
+_LEAVES = st.sampled_from(["t", "theta", "pi", "0", "2", "0.5", "1e300", "1e-300", "3.25e-5",
+                           "1E+2", "nan", "inf", "1e999"])
+_EXPRESSIONS = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from(["+", "-", "*", " - ", "*-", "--"]), inner).map("".join),
+    inner.map("-{}".format), inner.map("({})".format),
+    st.tuples(st.sampled_from(["cos", "sin"]), inner).map("{0[0]}({0[1]})".format)),
+    max_leaves=24)
+_POINTS = [0.0, -0.0, 1e300, -1e300, math.nan, math.inf, -math.inf, 1.0, -2.5, math.pi, 5e-324]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_EXPRESSIONS, st.lists(st.floats(), max_size=8))
+def test_compiled_weight_equals_the_closure_tree(text, extra):
+    compiled, reference = WeightExpr(text), _ClosureTree(text)
+    assert compiled.is_constant == reference.is_constant
+    for t in _POINTS + extra:
+        assert _outcome(compiled.fn, t) == _outcome(reference.fn, t), (text, t)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.text("t()+-*cosinpheta0123456789.eE $", max_size=24) | _EXPRESSIONS)
+def test_compiled_weight_refuses_as_the_closure_tree_does(text):
+    def build(kind):
+        try:
+            return kind(text).is_constant
+        except ValueError as exc:
+            return str(exc)
+    assert build(WeightExpr) == build(_ClosureTree)
+
+
+@pytest.mark.parametrize("text, n, panels, pinned", [
+    ("1.5+sin(3*t)", 2, 64, "0x1.2d97c7f3321d2p+3"),
+    ("2+0.3*cos(t)*sin(2*t)-0.1*cos(5*t)", 2, 64, "0x1.921fb54442d14p+3"),
+    ("2+cos(t)", 3, 8, "0x1.b3a259b49dad4p+5")])
+def test_boundary_integral_of_an_expression_weight_is_pinned(text, n, panels, pinned):
+    # the integral of rho^(n-1) as the closure tree gave it, bit for bit
+    fn = WeightExpr(text).fn
+    weight = (counting.unit_circle_weight(fn) if n == 2
+              else counting.unit_sphere_weight(lambda t, p: fn(t)))
+    assert float.hex(counting.boundary_integral(weight, n, panels)) == pinned
+
+
+def test_compiled_weight_at_the_nesting_bound_equals_the_closure_tree():
+    for text in _nested(_MAX) + ["cos(" * _MAX + "t" + ")" * _MAX + "+1" * _MAX]:
+        compiled, reference = WeightExpr(text), _ClosureTree(text)
+        for t in _POINTS:
+            assert _outcome(compiled.fn, t) == _outcome(reference.fn, t), (text, t)
+    for text in _nested(_MAX + 1) + [_chain_of_chains()]:
+        with pytest.raises(ValueError, match=f"^weight expression nested deeper than {_MAX} "):
+            WeightExpr(text)
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +605,15 @@ _EXTREME_WEIGHT = st.sampled_from(["1e5", "1e10", "1e300", "1e-310"])
 # covectors that pass validation but whose principal symbol leaves the double
 # range above (p2 from |eta| = 1e102.7 on) or below
 _ETA = st.floats(0.1, 4.0) | st.sampled_from([1e120, -1e150, 1e-110])
+# weights that are not finite numbers, and weights nested to the bound and one past it
+_HOSTILE_WEIGHT = st.sampled_from(["nan", "inf", "1e999", "cos(nan)", "t*1e999",
+                                   *_nested(_MAX), *_nested(_MAX + 1), _chain_of_chains()])
 _COUNTING_FLAGS = {
     "--problem": (st.sampled_from(["p1", "p2", "harmonic"]), st.just("p9")),
     "--n": (st.integers(2, 5), _HOSTILE_N),
     "--m-max": (st.integers(0, 2000), st.sampled_from([-1, 1_000_001])),
-    "--rho": (st.sampled_from(["1", "2.5", "0.5"]) | _EXTREME_WEIGHT, st.text()),
+    "--rho": (st.sampled_from(["1", "2.5", "0.5"]) | _EXTREME_WEIGHT,
+              st.text() | _HOSTILE_WEIGHT),
 }
 
 # command line before the flags: {flag: (valid values, hostile values)}; no draw
@@ -489,7 +637,7 @@ _FLAGS = {
     },
     ("symbol",): {
         "--rho": (st.sampled_from(["1", "2+cos(t)", "1+0.5*sin(2*t)"]) | _EXTREME_WEIGHT,
-                  st.sampled_from(["cos(t)", "-1"]) | st.text()),
+                  st.sampled_from(["cos(t)", "-1"]) | st.text() | _HOSTILE_WEIGHT),
         "--eta": (_ETA, _HOSTILE_FLOAT),
         "--epsilon": (st.floats(0.0, 1.0), _HOSTILE_FLOAT),
         "--points": (st.integers(1, 8), _HOSTILE_INT | st.just(100_001)),
@@ -547,6 +695,43 @@ def test_exit_code_sweep_of_covectors_past_the_double_range():
             column = header.index("symbol" if argv[0] == "symbol" else "target")
             assert all(sys.float_info.min <= float(r[column]) < math.inf
                        for r in rows if r[column]), argv
+
+
+# the refusal of each hostile weight by spectrum and weyl, and by symbol; None: exit 0
+_CONSTANT_ONLY = ("this command needs a constant weight; expressions over the boundary "
+                  "parameter belong to the 'symbol' command")
+_NOT_FINITE, _NOT_POSITIVE = ("weight constant must be positive and finite",
+                              "rho + epsilon must be positive where divided by")
+_OUT_OF_RANGE, _TOO_DEEP = ("weight out of range: 2 / rho^1 leaves the double range",
+                            f"weight expression nested deeper than {_MAX} levels")
+_HOSTILE_REFUSALS = {
+    "nan": (_NOT_FINITE, _NOT_POSITIVE), "inf": (_NOT_FINITE, _OUT_OF_RANGE),
+    "1e999": (_NOT_FINITE, _OUT_OF_RANGE), "cos(nan)": (_NOT_FINITE, _NOT_POSITIVE),
+    "t*1e999": (_CONSTANT_ONLY, _NOT_POSITIVE),
+    # at the bound the parentheses, the unary minuses and the + and * chains are positive
+    # constants, the cos nest is not constant, and the - chain is 1 - 1 - ... - 1 = -99
+    **dict(zip(_nested(_MAX), [(None, None), (None, None), (_CONSTANT_ONLY, None),
+                               (None, None), (_NOT_FINITE, "weight is negative at theta=0"),
+                               (None, None)])),
+    **{text: (_TOO_DEEP, _TOO_DEEP) for text in _nested(_MAX + 1) + [_chain_of_chains()]},
+}
+
+
+def test_exit_code_sweep_of_hostile_weights():
+    # every command that reads --rho, against weights that are not finite numbers and weights
+    # nested to the bound and one past it in each construct: each exits 0, or 2 with its one
+    # refusal, the one these weights met when they were evaluated through closures (the chain
+    # of chains then ended in a RecursionError traceback)
+    for text, (constant, weighted) in _HOSTILE_REFUSALS.items():
+        for command, refusal in (("spectrum", constant), ("weyl", constant), ("symbol", weighted)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--rho=" + text])
+            if refusal is None:
+                assert (code, err.getvalue()) == (0, ""), (command, text)
+            else:
+                assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {refusal}\n"), \
+                    (command, text)
 
 
 def test_exit_code_sweep_of_weights_and_dimensions_past_the_double_range():

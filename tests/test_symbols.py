@@ -272,6 +272,27 @@ def test_unit_weight_and_the_delegations_are_bit_identical():
     assert theta_symbol(metric)(None, eta) == steklov_symbol(P2, metric)(None, eta)
 
 
+@pytest.mark.parametrize("problem, weight_message, value_message", [
+    (P1, "weight out of range: 2 / rho^1 leaves the double range",
+     "symbol out of range: 2 q^0.5 / rho^1 leaves the double range"),
+    (P2, "weight out of range: 2 / rho^3 leaves the double range",
+     "symbol out of range: 2 q^1.5 / rho^3 leaves the double range"),
+    (HARM, "weight out of range: 1 / rho^1 leaves the double range",
+     "symbol out of range: 1 q^0.5 / rho^1 leaves the double range")])
+def test_symbol_refusal_messages_byte_for_byte(problem, weight_message, value_message):
+    # coeff / rho^degree overflows at rho = 1e-310; at rho = 1e-200 (1e-100 for p2) it does
+    # not, but the value does at |eta| = 1e150 (1e100 for p2)
+    metric = BoundaryMetric.identity(1)
+    small, eta = (1e-100, 1e100) if problem is P2 else (1e-200, 1e150)
+    for rho, covector, message in ((1e-310, 1.0, weight_message), (small, eta, value_message)):
+        weight = unit_circle_weight(lambda t, r=rho: r)
+        for evaluate in (steklov_symbol(problem, metric, weight),
+                         lambda x, e: symbol_steklov(problem, metric, weight, x, e)):
+            with pytest.raises(ValueError) as info:
+                evaluate(0.0, [covector])
+            assert str(info.value) == message
+
+
 def test_steklov_sublevel_volume_matches_growth_radius():
     # fiber volume of {symbol < 1} for the trace problem: omega * ((rho+eps)/2)^dim
     for dim, rho, eps in ((1, 1.0, 0.0), (2, 2.5, 0.1), (3, 0.8, 0.0)):

@@ -207,3 +207,52 @@ def test_the_check_sees_an_unbounded_cache():
                      "    _TABLE[x] = x\n"
                      "_TABLE['b'] = 2\n")
     assert sorted(_unbounded_caches(tree)) == [2, 5, 7, 9, 11, 12, 14]
+
+
+def _unguarded_code_runs(tree):
+    """Line of each call of eval, exec or compile (by name or through ``builtins``) other than
+    one inside class WeightExpr whose globals are a dict literal that ends with
+    ``"__builtins__": {}``, so that nothing unpacked into it can put the builtins back."""
+    inside = {id(n) for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and node.name == "WeightExpr"
+              for n in ast.walk(node)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in (
+                "builtins", "__builtins__"):
+            name = func.attr
+        else:
+            name = getattr(func, "id", None)
+        if name not in ("eval", "exec", "compile"):
+            continue
+        namespace = node.args[1] if len(node.args) > 1 else None
+        guarded = (id(node) in inside and isinstance(namespace, ast.Dict) and namespace.keys
+                   and isinstance(namespace.keys[-1], ast.Constant)
+                   and namespace.keys[-1].value == "__builtins__"
+                   and isinstance(namespace.values[-1], ast.Dict)
+                   and not namespace.values[-1].keys)
+        if not guarded:
+            yield node.lineno
+
+
+def test_code_runs_only_in_weight_expr_without_builtins():
+    unguarded = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+                 for line in _unguarded_code_runs(ast.parse(path.read_text()))]
+    assert unguarded == []
+
+
+def test_the_check_sees_unguarded_code_runs():
+    tree = ast.parse("import builtins, re\n"
+                     "eval('1', {'__builtins__': {}})\n"
+                     "class WeightExpr:\n"
+                     "    def f(self, g):\n"
+                     "        eval('t', {**g, '__builtins__': {}})\n"
+                     "        eval('t', g)\n"
+                     "        exec('t', {'__builtins__': {}, **g})\n"
+                     "        builtins.eval('t', {'__builtins__': {'len': len}})\n"
+                     "        compile('t', '<weight>', 'eval')\n"
+                     "        __builtins__.exec('t')\n"
+                     "        return re.compile('t'), eval('t', {'__builtins__': None})\n")
+    assert sorted(_unguarded_code_runs(tree)) == [2, 6, 7, 8, 9, 10, 11]
